@@ -21,10 +21,18 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import EndpointRoot, NoConvergence, NotSquarefree, NotSymmetric, ZeroPolynomial
-from .intpoly import IntPoly, QPolynomial, poly_gcd, pseudo_remainder, squarefree_part
+from .errors import (
+    EndpointRoot,
+    NoConvergence,
+    NotSquarefree,
+    NotSymmetric,
+    WeilPolyError,
+    ZeroPolynomial,
+)
+from .intpoly import IntPoly, QPolynomial, pseudo_remainder, squarefree_part
 from .numtheory import integer_sqrt
 from .surd import QuadSurd
+
 
 class _Infinity:
     def __init__(self, sign: int):
@@ -71,19 +79,6 @@ def real_weil_transform(f: QPolynomial) -> RealWeilPoly:
     return RealWeilPoly(h=h, g=g, q=q)
 
 
-def reconstruct_symmetric(h: IntPoly, g: int, q: int) -> IntPoly:
-    """Expand t^g * h(t + q/t) back into a polynomial in t."""
-    if h.degree > g:
-        raise ValueError("deg h must be <= g")
-    shifted = IntPoly((q, 0, 1))  # t^2 + q
-    acc = IntPoly.zero()
-    for k in range(h.degree + 1):
-        c = h.coeff(k)
-        if c:
-            acc = acc + (shifted ** k).scale(c) * IntPoly.monomial(1, g - k)
-    return acc
-
-
 # -- Sturm machinery -----------------------------------------------------------
 
 
@@ -91,9 +86,10 @@ def sturm_chain(h: IntPoly) -> list[IntPoly]:
     """Signed remainder chain of (h, h') over Z.
 
     Each element is a positive integer multiple of the exact rational chain
-    element, which preserves all sign information: pseudo-remainders are
-    taken with an even power of the leading coefficient and divided by their
-    (positive) content.
+    element, which preserves all sign information: each pseudo-remainder is
+    negated unless lc^(deg a - deg b + 1) is negative, then divided by its
+    (positive) content.  The last element is gcd(h, h') up to a factor, so it
+    is constant exactly when h is squarefree.
     """
     if h.is_zero():
         raise ZeroPolynomial("Sturm chain of zero polynomial")
@@ -102,26 +98,18 @@ def sturm_chain(h: IntPoly) -> list[IntPoly]:
         chain.append(h.derivative())
         while chain[-1].degree > 0:
             a, b = chain[-2], chain[-1]
-            delta = a.degree - b.degree
-            mult = b.lc ** (delta + 1)
-            rem = _pseudo_rem_signed(a, b, mult)
+            rem = pseudo_remainder(a, b)
             if rem.is_zero():
                 break
+            if b.lc > 0 or (a.degree - b.degree) % 2:  # lc(b)^(deg a - deg b + 1) > 0
+                rem = -rem
             c = rem.content()
             chain.append(IntPoly(x // c for x in rem.coeffs))
     return chain
 
 
-def _pseudo_rem_signed(a: IntPoly, b: IntPoly, mult: int) -> IntPoly:
-    """-(a mod b) scaled by |mult|: the next Sturm element up to positive factor."""
-    rem = pseudo_remainder(a, b)
-    if mult < 0:
-        rem = -rem
-    return -rem
-
-
 def _sign_at(p: IntPoly, point) -> int:
-    """Exact sign of p at a QuadSurd, Fraction, integer, or +/- infinity."""
+    """Exact sign of p at a QuadSurd, Fraction, or +/- infinity."""
     if isinstance(point, _Infinity):
         if p.is_zero():
             return 0
@@ -134,9 +122,6 @@ def _sign_at(p: IntPoly, point) -> int:
         for c in reversed(p.coeffs):
             acc = acc * point + QuadSurd(point.D, c, 0)
         return acc.sign()
-    if isinstance(point, int):
-        v = p(point)
-        return (v > 0) - (v < 0)
     if isinstance(point, Fraction):
         u, v = point.numerator, point.denominator
         n = max(p.degree, 0)
@@ -148,39 +133,22 @@ def _sign_at(p: IntPoly, point) -> int:
 
 
 def _variations(chain: list[IntPoly], point) -> int:
-    signs = [s for s in (_sign_at(p, point) for p in chain) if s != 0]
+    signs = [_sign_at(p, point) for p in chain]
+    if signs[0] == 0:
+        raise EndpointRoot("h vanishes at an interval endpoint")
+    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def sturm_count_in_interval(h: IntPoly, lo: QuadSurd, hi: QuadSurd) -> int:
-    """Number of real roots of squarefree h in (lo, hi], by exact Sturm counts.
+def count_between(chain: list[IntPoly], lo, hi) -> int:
+    """Number of distinct real roots in (lo, hi] of h = chain[0], where chain
+    is sturm_chain(h) and lo < hi are QuadSurds, Fractions or +/- infinity.
 
-    Raises NotSquarefree if gcd(h, h') is nonconstant, and EndpointRoot if h
-    vanishes at either endpoint (the count would be ambiguous there).
+    Raises NotSquarefree if h is not squarefree (the chain ends in a
+    nonconstant gcd(h, h')), and EndpointRoot if h vanishes at lo or hi.
     """
-    if h.is_zero():
-        raise ZeroPolynomial("root count of zero polynomial")
-    if poly_gcd(h, h.derivative()).degree > 0:
+    if chain[-1].degree > 0:
         raise NotSquarefree("input must be squarefree")
-    if (hi - lo).sign() <= 0:
-        raise ValueError("need lo < hi")
-    if _sign_at(h, lo) == 0 or _sign_at(h, hi) == 0:
-        raise EndpointRoot("h vanishes at an interval endpoint")
-    chain = sturm_chain(h)
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
-def count_real_roots(h: IntPoly) -> int:
-    """Number of distinct real roots of squarefree h."""
-    if poly_gcd(h, h.derivative()).degree > 0:
-        raise NotSquarefree("input must be squarefree")
-    if h.degree <= 0:
-        return 0
-    chain = sturm_chain(h)
-    return _variations(chain, NEG_INF) - _variations(chain, POS_INF)
-
-
-def _count_between(chain: list[IntPoly], lo, hi) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -191,32 +159,32 @@ def _cauchy_bound(h: IntPoly) -> int:
     return 2 + m // lc
 
 
-def _isolate_root_above(h: IntPoly, q: int) -> tuple[Fraction, Fraction]:
+def _isolate_root_above(chain: list[IntPoly], q: int) -> tuple[Fraction, Fraction]:
     """Isolating (lo, hi] interval with rational endpoints for some root of
-    squarefree h lying strictly above 2*sqrt(q); assumes one exists and that
-    h(2*sqrt(q)) != 0."""
-    chain = sturm_chain(h)
+    h = chain[0] lying strictly above 2*sqrt(q), where chain = sturm_chain(h)
+    and h(2*sqrt(q)) != 0.  Raises WeilPolyError if h has no such root."""
+    h = chain[0]
     edge = QuadSurd(q, 0, 2)  # 2*sqrt(q)
     bound = Fraction(_cauchy_bound(h))
-    total = _count_between(chain, edge, POS_INF)
-    assert total > 0
     # rational left cut strictly above the surd edge but below the offending roots
     k = 1
     while True:
         z = Fraction(integer_sqrt(4 * q * 4 ** k) + 1, 2 ** k)
         if _sign_at(h, z) == 0:
             return z, z
-        if _count_between(chain, edge, z) == 0:
+        if count_between(chain, edge, z) == 0:
             lo = z
             break
         k *= 2
-    count = _count_between(chain, lo, bound)
+    count = count_between(chain, lo, bound)
+    if count == 0:
+        raise WeilPolyError("no root of h above 2*sqrt(q)")
     hi = bound
     while count > 1:
         mid = (lo + hi) / 2
         if _sign_at(h, mid) == 0:
             return mid, mid
-        left = _count_between(chain, lo, mid)
+        left = count_between(chain, lo, mid)
         if left >= 1:
             hi, count = mid, left
         else:
@@ -257,22 +225,21 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
             h0 = h0.divmod_monic(edge_factor)[0]
     if h0.degree <= 0:
         return ModulusCheckResult(passed=True)
-    lo = QuadSurd(q, 0, -2)
-    hi = QuadSurd(q, 0, 2)
-    inside = sturm_count_in_interval(h0, lo, hi)
+    chain = sturm_chain(h0)
+    edge = QuadSurd(q, 0, 2)  # 2*sqrt(q)
+    inside = count_between(chain, -edge, edge)
     if inside == h0.degree:
         return ModulusCheckResult(passed=True)
-    total_real = count_real_roots(h0)
+    total_real = count_between(chain, NEG_INF, POS_INF)
     if total_real > inside:
-        chain = sturm_chain(h0)
-        if _count_between(chain, hi, POS_INF) > 0:
-            a, b = _isolate_root_above(h0, q)
+        if count_between(chain, edge, POS_INF) > 0:
+            a, b = _isolate_root_above(chain, q)
             side = "above"
         else:
             neg = IntPoly(
                 (-1) ** j * c for j, c in enumerate(h0.coeffs)
             )  # h0(-x), mirrors roots below the band to above it
-            a, b = _isolate_root_above(neg, q)
+            a, b = _isolate_root_above(sturm_chain(neg), q)
             a, b = -b, -a
             side = "below"
         witness = {

@@ -6,7 +6,7 @@ a q-polynomial).  Polynomials are read and written as comma-separated
 decimal coefficients, low degree first ("25,5,1,1,1" is t^4+t^3+t^2+5t+25).
 
 The environment variable WEILPOLY_PRECISION_BITS sets the default numeric
-oracle precision.
+oracle precision; a value that is not an integer is an error (exit 1).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 
 from .engine import (
     CSV_FIELDS,
+    REPORT_FIELDS,
     ClassificationReport,
     ClassifyOptions,
     ParamTuple,
@@ -48,32 +49,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_precision() -> int | None:
+    """WEILPOLY_PRECISION_BITS as an int; ValueError if it is set but malformed."""
     raw = os.environ.get("WEILPOLY_PRECISION_BITS")
     if raw is None:
         return None
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise ValueError(f"WEILPOLY_PRECISION_BITS must be an integer (got {raw!r})") from None
 
 
-def _print_report(rep: ClassificationReport, verbose: bool = True) -> None:
-    print(f"poly: {rep.poly.to_string()}")
-    print(f"g={rep.g} q={rep.q}")
+def _print_report(rep: ClassificationReport) -> None:
     d = rep.to_json_dict(include_timings=False)
-    for key in (
-        "is_q_polynomial",
-        "method",
-        "ll_passed",
-        "ordinary",
-        "simple",
-        "simple_r",
-        "absolutely_simple",
-        "witness_d",
-        "power_test_bound",
-        "max_modulus_deviation",
-    ):
-        if d.get(key) is not None:
+    for key in REPORT_FIELDS:
+        if d[key] is not None:
             print(f"{key}: {d[key]}")
     if rep.modulus_witness:
         print(f"modulus_witness: {json.dumps(rep.modulus_witness)}")
@@ -279,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -22,6 +22,7 @@ coefficient rule, or minimal polynomials of root powers).
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +53,9 @@ from .surd import QuadSurd, ll_unit_circle_check, m_max, substitute_sqrt_scale
 
 DEFAULT_RAW_CERT_PRIMES = 25  # primes tried for a modular irreducibility certificate
 
+# the parameters of a tuple, in report and CSV order
+TUPLE_KEYS = ("rho", "b", "r", "p", "n", "m")
+
 
 @dataclass(frozen=True)
 class ParamTuple:
@@ -78,14 +82,7 @@ class ParamTuple:
         return self.p ** self.n
 
     def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "b": self.b,
-            "r": self.r,
-            "p": self.p,
-            "n": self.n,
-            "m": self.m,
-        }
+        return {k: getattr(self, k) for k in TUPLE_KEYS}
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,6 @@ def absolutely_simple_g2(f: QPolynomial) -> bool:
 class PowerTestResult:
     certified_no: bool
     witness_d: int | None
-    degree_found: int | None
     tested_bound: int
 
 
@@ -242,8 +238,8 @@ def absolute_simplicity_power_test(f: QPolynomial, d_bound: int) -> PowerTestRes
     for d in range(2, d_bound + 1):
         mp = minimal_poly_of_power(f.poly, d)
         if mp.degree < deg:
-            return PowerTestResult(True, d, mp.degree, d_bound)
-    return PowerTestResult(False, None, None, d_bound)
+            return PowerTestResult(True, d, d_bound)
+    return PowerTestResult(False, None, d_bound)
 
 
 def default_power_bound(g: int) -> int:
@@ -254,8 +250,8 @@ def default_power_bound(g: int) -> int:
 # -- classification reports ---------------------------------------------------
 
 
-JSONL_FIELDS = [
-    "tuple",
+# the report fields after the tuple, in JSONL and CSV order
+REPORT_FIELDS = (
     "g",
     "q",
     "poly",
@@ -269,30 +265,9 @@ JSONL_FIELDS = [
     "power_test_bound",
     "ll_passed",
     "max_modulus_deviation",
-    "timings_ms",
-]
+)
 
-CSV_FIELDS = [
-    "rho",
-    "b",
-    "r",
-    "p",
-    "n",
-    "m",
-    "g",
-    "q",
-    "poly",
-    "is_q_polynomial",
-    "method",
-    "ordinary",
-    "simple",
-    "simple_r",
-    "absolutely_simple",
-    "witness_d",
-    "power_test_bound",
-    "ll_passed",
-    "max_modulus_deviation",
-]
+CSV_FIELDS = TUPLE_KEYS + REPORT_FIELDS
 
 
 @dataclass
@@ -320,22 +295,10 @@ class ClassificationReport:
     timings_ms: dict = field(default_factory=dict)
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "tuple": self.tuple.as_dict() if self.tuple else None,
-            "g": self.g,
-            "q": self.q,
-            "poly": self.poly.to_string(),
-            "is_q_polynomial": self.is_q_polynomial,
-            "method": self.method,
-            "ordinary": self.ordinary,
-            "simple": self.simple,
-            "simple_r": self.simple_r,
-            "absolutely_simple": self.absolutely_simple,
-            "witness_d": self.witness_d,
-            "power_test_bound": self.power_test_bound,
-            "ll_passed": True if self.ll_passed else ("inconclusive" if self.ll_passed is False else None),
-            "max_modulus_deviation": self.max_modulus_deviation,
-        }
+        out = {"tuple": self.tuple.as_dict() if self.tuple else None}
+        out.update((k, getattr(self, k)) for k in REPORT_FIELDS)
+        out["poly"] = self.poly.to_string()
+        out["ll_passed"] = True if self.ll_passed else ("inconclusive" if self.ll_passed is False else None)
         if self.symmetry_fail_index is not None:
             out["symmetry_fail_index"] = self.symmetry_fail_index
         if self.modulus_witness is not None:
@@ -352,11 +315,9 @@ class ClassificationReport:
     def to_csv_row(self) -> list[str]:
         d = self.to_json_dict(include_timings=False)
         t = d["tuple"] or {}
-        row = [t.get(k, "") for k in ("rho", "b", "r", "p", "n", "m")]
-        for k in CSV_FIELDS[6:]:
-            v = d.get(k)
-            row.append("" if v is None else str(v))
-        return [str(x) for x in row]
+        return [str(t.get(k, "")) for k in TUPLE_KEYS] + [
+            "" if d[k] is None else str(d[k]) for k in REPORT_FIELDS
+        ]
 
 
 @dataclass(frozen=True)
@@ -364,7 +325,25 @@ class ClassifyOptions:
     d_bound: int | None = None
     with_numeric: bool = False
     precision_bits: int | None = None
-    raw_cert_primes: int = DEFAULT_RAW_CERT_PRIMES
+
+
+def _absolute_simplicity(
+    f: QPolynomial, tup: ParamTuple | None, d_bound: int
+) -> tuple[str, int | None, int | None]:
+    """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial."""
+    if tup is not None and tup.b > 1:
+        # the paper's witness: theta^(rho^(b-1)) lies in a proper subfield;
+        # if its degree does not drop it proves nothing, and the scan decides
+        if minimal_poly_of_power(f.poly, tup.dpow).degree < 2 * f.g:
+            return "certified_no", tup.dpow, None
+    elif f.g == 2:
+        if absolutely_simple_g2(f):
+            return "certified_yes", None, None
+        return "certified_no", absolute_simplicity_power_test(f, max(d_bound, 12)).witness_d, None
+    pt = absolute_simplicity_power_test(f, d_bound)
+    if pt.certified_no:
+        return "certified_no", pt.witness_d, None
+    return "inconclusive", None, pt.tested_bound
 
 
 def _ll_check_default(f: QPolynomial) -> bool:
@@ -470,7 +449,7 @@ def classify(
     else:
         cert_r = clock(
             "simple",
-            lambda: modular_irreducibility_certificate(raw_poly, options.raw_cert_primes),
+            lambda: modular_irreducibility_certificate(raw_poly),
         )
         report.simple = True if cert_r is not None else None  # None: inconclusive
         report.simple_r = cert_r
@@ -480,30 +459,9 @@ def classify(
     )
     if is_weil_simple_ordinary:
         d_bound = options.d_bound or default_power_bound(g)
-        if tup is not None and tup.b > 1:
-            d = tup.dpow
-            mp = clock("abs_simple", lambda: minimal_poly_of_power(qpoly.poly, d))
-            assert mp.degree == tup.rho - 1
-            report.absolutely_simple = "certified_no"
-            report.witness_d = d
-        elif g == 2:
-            verdict = clock("abs_simple", lambda: absolutely_simple_g2(qpoly))
-            if verdict:
-                report.absolutely_simple = "certified_yes"
-            else:
-                report.absolutely_simple = "certified_no"
-                pt = absolute_simplicity_power_test(qpoly, max(d_bound, 12))
-                report.witness_d = pt.witness_d
-        else:
-            pt = clock(
-                "abs_simple", lambda: absolute_simplicity_power_test(qpoly, d_bound)
-            )
-            if pt.certified_no:
-                report.absolutely_simple = "certified_no"
-                report.witness_d = pt.witness_d
-            else:
-                report.absolutely_simple = "inconclusive"
-                report.power_test_bound = pt.tested_bound
+        report.absolutely_simple, report.witness_d, report.power_test_bound = clock(
+            "abs_simple", lambda: _absolute_simplicity(qpoly, tup, d_bound)
+        )
 
     if options.with_numeric:
         rr = clock(
@@ -560,11 +518,6 @@ class SearchRange:
                             yield ParamTuple(rho=rho, b=b, r=r, p=pp.p, n=pp.n, m=m)
 
 
-def _classify_for_pool(args) -> ClassificationReport:
-    t, options = args
-    return classify(t, options)
-
-
 def search(
     rng: SearchRange,
     options: ClassifyOptions = ClassifyOptions(),
@@ -581,7 +534,7 @@ def search(
             yield classify(t, options)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_classify_for_pool, [(t, options) for t in valid], chunksize=1)
+        yield from pool.map(functools.partial(classify, options=options), valid, chunksize=1)
 
 
 def search_summary(reports: Iterable[ClassificationReport]) -> dict:

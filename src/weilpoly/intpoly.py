@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch, ZeroPolynomial
+from .errors import ShapeMismatch, WeilPolyError, ZeroPolynomial
 
 
 class IntPoly:
@@ -42,11 +42,6 @@ class IntPoly:
     @classmethod
     def x(cls) -> "IntPoly":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, c: int, k: int) -> "IntPoly":
-        """c * t^k"""
-        return cls((0,) * k + (c,))
 
     @classmethod
     def from_string(cls, text: str) -> "IntPoly":
@@ -158,24 +153,9 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(j * self.coeffs[j] for j in range(1, len(self.coeffs)))
 
-    def inflate(self, k: int) -> "IntPoly":
-        """Substitute t -> t^k."""
-        if k < 1:
-            raise ValueError("inflate expects k >= 1")
-        out = [0] * (len(self.coeffs) * k)
-        for j, c in enumerate(self.coeffs):
-            out[j * k] = c
-        return IntPoly(out)
-
     def __call__(self, x: int) -> int:
         """Exact evaluation at an integer (Horner)."""
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -315,7 +295,8 @@ def cyclotomic(n: int) -> IntPoly:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = poly.divmod_monic(cyclotomic(d))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise WeilPolyError(f"cyclotomic({d}) does not divide x^{n} - 1")
     return poly
 
 
@@ -366,56 +347,6 @@ def check_q_symmetry(f: IntPoly, g: int, q: int) -> QPolynomial:
     return QPolynomial(f, g, q)
 
 
-# -- resultants ------------------------------------------------------------------
-
-
-def _sylvester_resultant(a: IntPoly, b: IntPoly) -> int:
-    """Res(a, b) = lc(a)^deg(b) * prod b(alpha) over the roots alpha of a,
-    via the subresultant remainder sequence (Ducos/Cohen bookkeeping)."""
-    if a.is_zero() or b.is_zero():
-        raise ZeroPolynomial("resultant of zero polynomial")
-    s = 1
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2 == 1:
-            s = -1
-        a, b = b, a
-    if b.degree == 0:
-        return s * b.lc ** a.degree
-    ca, cb = abs(a.content()), abs(b.content())
-    t = ca ** b.degree * cb ** a.degree
-    a = IntPoly(c // ca for c in a.coeffs)
-    b = IntPoly(c // cb for c in b.coeffs)
-    g = h = 1
-    while True:
-        da, db = a.degree, b.degree
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        r = pseudo_remainder(a, b)
-        a = b
-        divisor = g * h ** delta
-        b = IntPoly(c // divisor for c in r.coeffs)
-        if b.is_zero():
-            return 0
-        g = a.lc
-        if delta == 0:
-            pass  # h unchanged: h^(1-0) * g^0
-        else:
-            h = g ** delta // h ** (delta - 1)
-        if b.degree == 0:
-            return s * t * (b.lc ** a.degree // h ** (a.degree - 1))
-
-
-def resultant(f: IntPoly, h: IntPoly) -> int:
-    """Resultant with the convention
-
-        resultant(f, h) = lc(h)^deg(f) * prod f(beta) over the roots beta of h,
-
-    so resultant(t - a, t - b) = b - a and resultant(f, h) =
-    (-1)^(deg f * deg h) * resultant(h, f)."""
-    return _sylvester_resultant(h, f)
-
-
 # -- characteristic/minimal polynomials of powers of the roots --------------------
 
 
@@ -442,7 +373,7 @@ def power_sums(f: IntPoly, count: int) -> list[int]:
 
 def _monic_from_power_sums(s: Sequence[int], n: int) -> IntPoly:
     """Invert Newton's identities: the monic degree-n polynomial whose roots
-    have power sums s[0..n-1] (must be integral; asserts exact divisions)."""
+    have power sums s[0..n-1] (must be integral; ValueError otherwise)."""
     a = [1]
     for k in range(1, n + 1):
         acc = s[k - 1]

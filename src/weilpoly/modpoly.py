@@ -173,23 +173,25 @@ class DegreeProfile:
 
     entries: tuple[tuple[int, int], ...]
 
-    def total_degree(self) -> int:
-        return sum(d * c for d, c in self.entries)
-
-    def as_list(self) -> list[tuple[int, int]]:
-        return list(self.entries)
-
 
 def distinct_degree_profile(f: ModPoly) -> DegreeProfile:
-    """Distinct-degree factorization profile of a squarefree monic polynomial.
+    """Distinct-degree factorization profile of a squarefree polynomial.
 
-    Iterates gcd(f, x^(r^d) - x), which extracts the product of all
-    irreducible factors of degree exactly d.
+    Raises NotSquarefree on a polynomial with a repeated factor.
     """
     if f.degree < 1:
         raise ValueError("profile of a constant polynomial")
     if not is_squarefree(f):
         raise NotSquarefree("distinct-degree profile requires a squarefree input")
+    return _profile(f)
+
+
+def _profile(f: ModPoly) -> DegreeProfile:
+    """Profile of a nonconstant f already known to be squarefree.
+
+    Iterates gcd(f, x^(r^d) - x), which extracts the product of all
+    irreducible factors of degree exactly d.
+    """
     v = f.monic()
     r = f.r
     x = ModPoly.x(r)
@@ -215,9 +217,7 @@ def is_irreducible_mod(f: ModPoly) -> bool:
         raise ValueError("irreducibility of a constant polynomial")
     if f.degree == 1:
         return True
-    if not is_squarefree(f):
-        return False
-    return distinct_degree_profile(f).entries == ((f.degree, 1),)
+    return is_squarefree(f) and _profile(f).entries == ((f.degree, 1),)
 
 
 def guerrier_check(n: int, r: int) -> bool:

@@ -33,15 +33,6 @@ class QuadSurd:
                 object.__setattr__(self, "a", self.a + self.b * s)
                 object.__setattr__(self, "b", 0)
 
-    @classmethod
-    def integer(cls, n: int, D: int) -> "QuadSurd":
-        return cls(D, n, 0)
-
-    @classmethod
-    def sqrt(cls, D: int) -> "QuadSurd":
-        """sqrt(D) itself."""
-        return cls(D, 0, 1)
-
     def _merge_D(self, other: "QuadSurd") -> int:
         if self.D == other.D:
             return self.D
@@ -93,15 +84,6 @@ class QuadSurd:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def __lt__(self, other: "QuadSurd") -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other: "QuadSurd") -> bool:
-        return (self - other).sign() <= 0
-
-    def to_float(self) -> float:
-        return self.a + self.b * self.D ** 0.5
 
     def __str__(self) -> str:
         if self.b == 0:

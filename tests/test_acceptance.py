@@ -8,6 +8,7 @@ m bound, exact/numeric oracle agreement, and byte-level determinism of the
 sweep output.
 """
 
+import hashlib
 import random
 import time
 
@@ -219,3 +220,12 @@ def test_ac9_sweep_determinism(tmp_path):
     assert blob  # nonempty sweep
     assert blob == paths[1].read_bytes()
     assert blob == paths[2].read_bytes()
+    # the headline sweep's bytes, JSONL and CSV, are pinned
+    assert hashlib.sha256(blob).hexdigest() == (
+        "dce664d89d62c5c35f59e340c6e8c778a9c8134a3e73eabc26f9f8dc53ba2c75"
+    )
+    csv_path = tmp_path / "d.csv"
+    assert main(args + ["--format", "csv", "--out", str(csv_path)]) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "54001bff9acb68735fe4416ffc28b98fae3ba5469ec44947c7604b49de46da4a"
+    )

@@ -1,23 +1,51 @@
+import hashlib
+import itertools
+import json
+from fractions import Fraction
+
 import mpmath
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weilpoly.analysis import (
-    count_real_roots,
+    NEG_INF,
+    POS_INF,
+    _isolate_root_above,
+    count_between,
     exact_modulus_check,
     numeric_roots,
     real_weil_transform,
-    reconstruct_symmetric,
-    sturm_count_in_interval,
+    sturm_chain,
 )
-from weilpoly.errors import EndpointRoot, NotSquarefree
+from weilpoly.errors import EndpointRoot, NotSquarefree, WeilPolyError
 from weilpoly.intpoly import IntPoly, check_q_symmetry, squarefree_part
 from weilpoly.surd import QuadSurd
 
 
 def P(*coeffs):
     return IntPoly(coeffs)
+
+
+def reconstruct_symmetric(h, g, q):
+    """Expand t^g * h(t + q/t) back into a polynomial in t."""
+    shifted = P(q, 0, 1)  # t^2 + q
+    acc = IntPoly.zero()
+    for k, c in enumerate(h.coeffs):
+        acc = acc + (shifted ** k).scale(c) * IntPoly((0,) * (g - k) + (1,))
+    return acc
+
+
+def eval_fraction(f, x):
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def real_root_count(h):
+    return count_between(sturm_chain(h), NEG_INF, POS_INF)
 
 
 def symmetric_poly(g, q, upper):
@@ -64,25 +92,29 @@ class TestRealWeilTransform:
 
 class TestSturmCounting:
     def test_fixtures(self):
-        assert sturm_count_in_interval(P(-2, 0, 1), QuadSurd(2, 0, 0), QuadSurd(2, 2, 0)) == 1
+        chain = sturm_chain(P(-2, 0, 1))
+        assert count_between(chain, QuadSurd(2, 0, 0), QuadSurd(2, 2, 0)) == 1
         # roots of x^2 + x - 9 are (-1 +/- sqrt(37))/2 ~ 2.54, -3.54
-        assert sturm_count_in_interval(P(-9, 1, 1), QuadSurd(5, 0, -2), QuadSurd(5, 0, 2)) == 2
+        chain = sturm_chain(P(-9, 1, 1))
+        assert count_between(chain, QuadSurd(5, 0, -2), QuadSurd(5, 0, 2)) == 2
         # roots +/-3 lie outside +/-2*sqrt(2)
-        assert sturm_count_in_interval(P(-9, 0, 1), QuadSurd(2, 0, -2), QuadSurd(2, 0, 2)) == 0
+        chain = sturm_chain(P(-9, 0, 1))
+        assert count_between(chain, QuadSurd(2, 0, -2), QuadSurd(2, 0, 2)) == 0
 
     def test_endpoint_roots_reported(self):
-        f = P(-1, 0, 1)
+        chain = sturm_chain(P(-1, 0, 1))
         with pytest.raises(EndpointRoot):
-            sturm_count_in_interval(f, QuadSurd(1, -1, 0), QuadSurd(1, 1, 0))
+            count_between(chain, QuadSurd(1, -1, 0), QuadSurd(1, 1, 0))
 
     def test_not_squarefree(self):
+        chain = sturm_chain(P(1, 2, 1))
         with pytest.raises(NotSquarefree):
-            sturm_count_in_interval(P(1, 2, 1), QuadSurd(1, -5, 0), QuadSurd(1, 5, 0))
+            count_between(chain, QuadSurd(1, -5, 0), QuadSurd(1, 5, 0))
 
     def test_count_real_roots_fixture(self):
-        assert count_real_roots(P(-9, 1, 1)) == 2
-        assert count_real_roots(P(1, 0, 1)) == 0
-        assert count_real_roots(P(0, -6, 1, 1)) == 3  # x(x^2+x-6) = x(x+3)(x-2)
+        assert real_root_count(P(-9, 1, 1)) == 2
+        assert real_root_count(P(1, 0, 1)) == 0
+        assert real_root_count(P(0, -6, 1, 1)) == 3  # x(x^2+x-6) = x(x+3)(x-2)
 
     @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=2, max_size=9))
     @settings(max_examples=150)
@@ -93,11 +125,38 @@ class TestSturmCounting:
         h = squarefree_part(h)
         if h.degree < 1:
             return
-        exact = count_real_roots(h)
+        exact = real_root_count(h)
         with mpmath.workprec(200):
             roots = mpmath.polyroots(list(reversed(h.coeffs)), maxsteps=100, extraprec=100)
             numeric = sum(1 for z in roots if abs(mpmath.im(z)) < mpmath.mpf(2) ** -40)
         assert exact == numeric
+
+    @given(
+        st.lists(st.integers(min_value=-10, max_value=10), min_size=2, max_size=7),
+        st.sampled_from([2, 3, 4, 5, 8, 9]),
+    )
+    @example([-16, 0, 1], 4)  # roots +/-4 = +/-2*sqrt(4), on the band's edges
+    @example([-8, 0, 1], 2)  # roots +/-2*sqrt(2)
+    @example([24, -2, -1], 9)  # roots -6 (an edge) and 4
+    @settings(max_examples=120)
+    def test_counts_match_sympy_real_roots(self, coeffs, q):
+        # sympy's exact real roots; each is placed against the band by the
+        # exact sign of r^2 - 4q: negative inside, zero on an endpoint
+        h = IntPoly(coeffs)
+        if h.degree < 1:
+            return
+        x = sympy.Symbol("x")
+        roots = set(sympy.real_roots(sympy.Poly(list(reversed(h.coeffs)), x)))
+        signs = [sympy.sign(sympy.expand(r ** 2 - 4 * q)) for r in roots]
+        assert set(signs) <= {-1, 0, 1}
+        chain = sturm_chain(squarefree_part(h))
+        assert count_between(chain, NEG_INF, POS_INF) == len(roots)
+        edge = QuadSurd(q, 0, 2)
+        if 0 in signs:
+            with pytest.raises(EndpointRoot):
+                count_between(chain, -edge, edge)
+        else:
+            assert count_between(chain, -edge, edge) == signs.count(-1)
 
 
 class TestExactModulusCheck:
@@ -140,12 +199,28 @@ class TestExactModulusCheck:
         assert not res.passed
         assert res.witness["side"] == "above"
         lo, hi = res.witness["interval"]
-        from fractions import Fraction
-
-        lo_f, hi_f = Fraction(lo), Fraction(hi)
         h = real_weil_transform(f).h
         # the isolating interval contains exactly one sign change of h
-        assert (h.eval_fraction(lo_f) > 0) != (h.eval_fraction(hi_f) > 0)
+        assert (eval_fraction(h, Fraction(lo)) > 0) != (eval_fraction(h, Fraction(hi)) > 0)
+
+    def test_isolation_needs_a_root_above_the_band(self):
+        # roots +/-1 lie inside +/-2*sqrt(5): there is nothing to isolate
+        with pytest.raises(WeilPolyError):
+            _isolate_root_above(sturm_chain(P(-1, 0, 1)), 5)
+
+    def test_witness_golden(self):
+        # every verdict and witness over 1,965 small inputs (706 passes, 585
+        # above-band, 572 below-band and 102 nonreal rejections), pinned
+        lines = []
+        for g, qs, bound in ((2, (2, 5, 9), 6), (3, (3, 4), 4)):
+            for q in qs:
+                for upper in itertools.product(range(-bound, bound + 1), repeat=g):
+                    res = exact_modulus_check(symmetric_poly(g, q, upper))
+                    record = [g, q, list(upper), res.passed, res.witness]
+                    lines.append(json.dumps(record, sort_keys=True) + "\n")
+        assert len(lines) == 1965
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "6a905c87f0280c00fe20f75ebcf878ecfe2c17e8720383cb4a36c3e46846ba1c"
 
 
 class TestNumericRoots:

@@ -152,11 +152,11 @@ class TestEnvPrecision:
 
         assert _default_precision() == 192
 
-    def test_env_garbage_ignored(self, monkeypatch):
+    def test_env_garbage_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("WEILPOLY_PRECISION_BITS", "lots")
-        from weilpoly.cli import _default_precision
-
-        assert _default_precision() is None
+        code, _, err = run(capsys, "verify", "--poly", "25,5,1,1,1", "--q", "5")
+        assert code == 1
+        assert "WEILPOLY_PRECISION_BITS" in err and "lots" in err
 
 
 def test_usage_error_exit_1(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from weilpoly import engine
 from weilpoly.engine import (
     ClassifyOptions,
     ParamTuple,
@@ -118,7 +119,8 @@ class TestCertificates:
     def test_power_test_witnesses(self):
         f20 = construct(T3)
         res = absolute_simplicity_power_test(f20, 6)
-        assert res.certified_no and res.witness_d == 5 and res.degree_found == 4
+        assert res.certified_no and res.witness_d == 5
+        assert minimal_poly_of_power(f20.poly, 5).degree == 4
 
         f4 = construct(T1)
         res = absolute_simplicity_power_test(f4, 20)
@@ -145,6 +147,14 @@ class TestClassify:
         rep = classify(T3)
         assert rep.absolutely_simple == "certified_no"
         assert rep.witness_d == 5
+
+    def test_b2_witness_without_degree_drop_is_not_certified(self, monkeypatch):
+        # if theta^5 did not lie in a proper subfield, the b = 2 witness
+        # proves nothing: the general power scan decides instead
+        monkeypatch.setattr(engine, "minimal_poly_of_power", lambda f, d: f)
+        rep = classify(T3)
+        assert rep.absolutely_simple == "inconclusive"
+        assert rep.witness_d is None
 
     def test_raw_counterexample(self):
         rep = classify((P(8, 4, 2, 5, 1, 1, 1), 2))
@@ -243,10 +253,14 @@ class TestSearch:
 
 class TestReportSerialization:
     def test_stable_field_contract(self):
-        from weilpoly.engine import JSONL_FIELDS
+        from weilpoly.engine import CSV_FIELDS, REPORT_FIELDS, TUPLE_KEYS
 
-        d = classify(T1).to_json_dict(include_timings=True)
-        assert set(JSONL_FIELDS) <= set(d.keys())
+        rep = classify(T1)
+        d = rep.to_json_dict(include_timings=True)
+        assert list(d)[: len(REPORT_FIELDS) + 1] == ["tuple", *REPORT_FIELDS]
+        assert list(d["tuple"]) == list(TUPLE_KEYS)
+        assert "timings_ms" in d
+        assert len(rep.to_csv_row()) == len(CSV_FIELDS)
 
     def test_invalid_tuple_is_data_not_exception(self):
         bad = ParamTuple(rho=5, b=1, r=2, p=2, n=2, m=0)
