@@ -162,25 +162,34 @@ def _cauchy_bound(h: IntPoly) -> int:
 def _isolate_root_above(chain: list[IntPoly], q: int) -> tuple[Fraction, Fraction]:
     """Isolating (lo, hi] interval with rational endpoints for some root of
     h = chain[0] lying strictly above 2*sqrt(q), where chain = sturm_chain(h)
-    and h(2*sqrt(q)) != 0.  Raises WeilPolyError if h has no such root."""
+    and h(2*sqrt(q)) != 0.  Raises WeilPolyError if h has no such root, or if
+    a loop runs past what the root separation allows (a chain at fault)."""
     h = chain[0]
-    edge = QuadSurd(q, 0, 2)  # 2*sqrt(q)
-    bound = Fraction(_cauchy_bound(h))
-    # rational left cut strictly above the surd edge but below the offending roots
+    above = _variations(chain, QuadSurd(q, 0, 2)) - _variations(chain, POS_INF)
+    if above == 0:
+        raise WeilPolyError("no root of h above 2*sqrt(q)")
+    # 2^-bits is below the distance between distinct roots of prod = h*(x^2 - 4q),
+    # by Mahler's bound sqrt(3) n^(-(n+2)/2) |prod|_2^(1-n), valid for its radical
+    prod = (h * IntPoly((-4 * q, 0, 1))).coeffs
+    n, norm_sq = len(prod) - 1, sum(c * c for c in prod)
+    bits = ((n + 2) * n.bit_length() + (n - 1) * norm_sq.bit_length()) // 2 + 1
+    # rational left cut in (2*sqrt(q), 2*sqrt(q) + 2^-k]: below every root
+    # above the band once k >= bits
     k = 1
     while True:
         z = Fraction(integer_sqrt(4 * q * 4 ** k) + 1, 2 ** k)
         if _sign_at(h, z) == 0:
             return z, z
-        if count_between(chain, edge, z) == 0:
-            lo = z
+        if count_between(chain, z, POS_INF) == above:
             break
+        if k >= bits:
+            raise WeilPolyError("no rational cut below the roots above 2*sqrt(q)")
         k *= 2
-    count = count_between(chain, lo, bound)
-    if count == 0:
-        raise WeilPolyError("no root of h above 2*sqrt(q)")
-    hi = bound
-    while count > 1:
+    bound = _cauchy_bound(h)
+    lo, hi, count = z, Fraction(bound), above
+    for _ in range(bound.bit_length() + bits + 1):
+        if count == 1:
+            return lo, hi
         mid = (lo + hi) / 2
         if _sign_at(h, mid) == 0:
             return mid, mid
@@ -189,7 +198,7 @@ def _isolate_root_above(chain: list[IntPoly], q: int) -> tuple[Fraction, Fractio
             hi, count = mid, left
         else:
             lo = mid
-    return lo, hi
+    raise WeilPolyError("bisection did not isolate a root above 2*sqrt(q)")
 
 
 @dataclass(frozen=True)
@@ -259,6 +268,9 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
 # -- numeric oracle --------------------------------------------------------------
 
 
+MIN_PRECISION_BITS = 64
+
+
 @dataclass(frozen=True)
 class RootReport:
     """All complex roots of a polynomial, with modulus diagnostics."""
@@ -288,8 +300,8 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
         raise ValueError("numeric_roots expects a nonconstant polynomial")
     if precision_bits is None:
         precision_bits = default_precision_bits(f)
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be >= 64")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
     maxbit = max(abs(c) for c in f.coeffs).bit_length()
     work = max(precision_bits, maxbit + 32) + 32
     coeffs_desc = list(reversed(f.coeffs))

@@ -6,7 +6,8 @@ a q-polynomial).  Polynomials are read and written as comma-separated
 decimal coefficients, low degree first ("25,5,1,1,1" is t^4+t^3+t^2+5t+25).
 
 The environment variable WEILPOLY_PRECISION_BITS sets the default numeric
-oracle precision; a value that is not an integer is an error (exit 1).
+oracle precision; a value that is not an integer of at least 64 is an
+error (exit 1), as it is for --precision-bits.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .engine import (
     search_summary,
     validate_tuple,
 )
+from .analysis import MIN_PRECISION_BITS
 from .intpoly import IntPoly
 from .numtheory import is_prime, prime_power_decompose
 from .errors import NotPrimePower
@@ -48,15 +50,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _precision_bits(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = None
+    if bits is None or bits < MIN_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {MIN_PRECISION_BITS} (got {text!r})")
+    return bits
+
+
 def _default_precision() -> int | None:
     """WEILPOLY_PRECISION_BITS as an int; ValueError if it is set but malformed."""
     raw = os.environ.get("WEILPOLY_PRECISION_BITS")
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"WEILPOLY_PRECISION_BITS must be an integer (got {raw!r})") from None
+        return _precision_bits(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"WEILPOLY_PRECISION_BITS {exc}") from None
 
 
 def _print_report(rep: ClassificationReport) -> None:
@@ -69,20 +81,14 @@ def _print_report(rep: ClassificationReport) -> None:
 
 
 def _add_classify_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--d-bound", type=int, default=None,
-                     help="scan limit for the root-power subfield test")
     sub.add_argument("--numeric", action="store_true",
                      help="also run the numeric root oracle")
-    sub.add_argument("--precision-bits", type=int, default=_default_precision(),
+    sub.add_argument("--precision-bits", type=_precision_bits, default=_default_precision(),
                      help="numeric oracle working precision")
 
 
 def _options_from(args) -> ClassifyOptions:
-    return ClassifyOptions(
-        d_bound=args.d_bound,
-        with_numeric=args.numeric,
-        precision_bits=args.precision_bits,
-    )
+    return ClassifyOptions(with_numeric=args.numeric, precision_bits=args.precision_bits)
 
 
 def cmd_construct(args) -> int:
@@ -150,27 +156,29 @@ def cmd_search(args) -> int:
     )
     options = _options_from(args)
     include_timings = not args.no_timings
-    reports = []
     try:
         out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     except OSError as exc:
         print(f"error: cannot open output: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+    def written(reports):
+        """Each report, once it is written out: no report is kept."""
+        for rep in reports:
+            if args.format == "csv":
+                writer.writerow(rep.to_csv_row())
+            else:
+                out.write(rep.to_json_line(include_timings) + "\n")
+            yield rep
+
     try:
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(CSV_FIELDS)
-            for rep in search(rng, options, workers=args.workers):
-                writer.writerow(rep.to_csv_row())
-                reports.append(rep)
-        else:
-            for rep in search(rng, options, workers=args.workers):
-                out.write(rep.to_json_line(include_timings) + "\n")
-                reports.append(rep)
+        summary = search_summary(written(search(rng, options, workers=args.workers)))
     finally:
         if args.out:
             out.close()
-    summary = search_summary(reports)
     print(" ".join(f"{k}={v}" for k, v in summary.items()))
     return EXIT_OK
 

@@ -218,35 +218,6 @@ def absolutely_simple_g2(f: QPolynomial) -> bool:
     return a1 * a1 not in {0, q + a2, 2 * a2, 3 * a2 - 3 * q}
 
 
-@dataclass(frozen=True)
-class PowerTestResult:
-    certified_no: bool
-    witness_d: int | None
-    tested_bound: int
-
-
-def absolute_simplicity_power_test(f: QPolynomial, d_bound: int) -> PowerTestResult:
-    """Scan d = 2..d_bound for a power theta^d generating a proper subfield.
-
-    A minimal polynomial of theta^d of degree < 2g is a certificate that the
-    variety is not absolutely simple.  Finding none is NOT a certificate of
-    absolute simplicity: no finite bound on d is known in general.
-    """
-    if d_bound < 2:
-        raise ValueError("d_bound must be >= 2")
-    deg = f.poly.degree
-    for d in range(2, d_bound + 1):
-        mp = minimal_poly_of_power(f.poly, d)
-        if mp.degree < deg:
-            return PowerTestResult(True, d, d_bound)
-    return PowerTestResult(False, None, d_bound)
-
-
-def default_power_bound(g: int) -> int:
-    """Heuristic scan bound for the power test (not a proof bound)."""
-    return max(2, 2 * g * g)
-
-
 # -- classification reports ---------------------------------------------------
 
 
@@ -322,28 +293,26 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class ClassifyOptions:
-    d_bound: int | None = None
     with_numeric: bool = False
     precision_bits: int | None = None
 
 
-def _absolute_simplicity(
-    f: QPolynomial, tup: ParamTuple | None, d_bound: int
-) -> tuple[str, int | None, int | None]:
-    """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial."""
-    if tup is not None and tup.b > 1:
-        # the paper's witness: theta^(rho^(b-1)) lies in a proper subfield;
-        # if its degree does not drop it proves nothing, and the scan decides
-        if minimal_poly_of_power(f.poly, tup.dpow).degree < 2 * f.g:
-            return "certified_no", tup.dpow, None
-    elif f.g == 2:
-        if absolutely_simple_g2(f):
-            return "certified_yes", None, None
-        return "certified_no", absolute_simplicity_power_test(f, max(d_bound, 12)).witness_d, None
-    pt = absolute_simplicity_power_test(f, d_bound)
-    if pt.certified_no:
-        return "certified_no", pt.witness_d, None
-    return "inconclusive", None, pt.tested_bound
+def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, int | None, int | None]:
+    """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial.
+
+    The g = 2 coefficient rule certifies "yes".  Otherwise the first d (the
+    paper's witness rho^(b-1) first, then 2..2g^2) whose theta^d has a minimal
+    polynomial of degree < 2g certifies "no"; finding none certifies nothing.
+    """
+    if f.g == 2 and absolutely_simple_g2(f):
+        return "certified_yes", None, None
+    bound = 2 * f.g * f.g
+    first = [tup.dpow] if tup is not None and tup.b > 1 else []
+    s: list[int] = []  # power sums of f, shared by every d
+    for d in first + list(range(2, bound + 1)):
+        if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g:
+            return "certified_no", d, None
+    return "inconclusive", None, bound
 
 
 def _ll_check_default(f: QPolynomial) -> bool:
@@ -458,9 +427,8 @@ def classify(
         report.is_q_polynomial and report.ordinary is True and report.simple is True
     )
     if is_weil_simple_ordinary:
-        d_bound = options.d_bound or default_power_bound(g)
         report.absolutely_simple, report.witness_d, report.power_test_bound = clock(
-            "abs_simple", lambda: _absolute_simplicity(qpoly, tup, d_bound)
+            "abs_simple", lambda: _absolute_simplicity(qpoly, tup)
         )
 
     if options.with_numeric:

@@ -350,15 +350,16 @@ def check_q_symmetry(f: IntPoly, g: int, q: int) -> QPolynomial:
 # -- characteristic/minimal polynomials of powers of the roots --------------------
 
 
-def power_sums(f: IntPoly, count: int) -> list[int]:
-    """Newton power sums s_k = sum theta_i^k, k = 1..count, over the roots of
-    the monic polynomial f (exact integers)."""
+def power_sums(f: IntPoly, count: int, s: list[int] | None = None) -> list[int]:
+    """Newton power sums [s_1, ..., s_count], s_k = sum theta_i^k over the roots
+    of the monic polynomial f (exact integers).  A given list s holding a
+    prefix of them is extended in place, never shortened, and returned."""
     if not f.is_monic():
         raise ValueError("power_sums expects a monic polynomial")
     n = f.degree
     a = [f.coeff(n - i) for i in range(n + 1)]  # a[0]=1, a[i] coefficient of x^(n-i)
-    s: list[int] = []
-    for k in range(1, count + 1):
+    s = [] if s is None else s
+    for k in range(len(s) + 1, count + 1):
         if k <= n:
             acc = -k * a[k]
             for i in range(1, k):
@@ -386,32 +387,31 @@ def _monic_from_power_sums(s: Sequence[int], n: int) -> IntPoly:
     return IntPoly([a[n - j] for j in range(n + 1)])
 
 
-def char_poly_of_power(f: IntPoly, d: int) -> IntPoly:
+def char_poly_of_power(f: IntPoly, d: int, s: list[int] | None = None) -> IntPoly:
     """The monic degree-(deg f) polynomial whose roots are theta^d over all
     roots theta of monic f, counted with multiplicity.
 
     Equals the resultant in y of f(y) and x - y^d (normalized monic), computed
     here exactly through Newton power sums: the k-th power sum of the d-th
-    powers is the (dk)-th power sum of the roots of f.
+    powers is the (dk)-th power sum of the roots of f, read from (and added
+    to) the list s, so that a scan over d computes each power sum once.
     """
     if not f.is_monic() or f.degree < 1:
         raise ValueError("char_poly_of_power expects a monic nonconstant polynomial")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d == 1:
-        return f
     n = f.degree
-    s = power_sums(f, n * d)
+    s = power_sums(f, n * d, s)
     return _monic_from_power_sums([s[d * k - 1] for k in range(1, n + 1)], n)
 
 
-def minimal_poly_of_power(f: IntPoly, d: int) -> IntPoly:
-    """Radical of char_poly_of_power(f, d), monic.
+def minimal_poly_of_power(f: IntPoly, d: int, s: list[int] | None = None) -> IntPoly:
+    """Radical of char_poly_of_power(f, d, s), monic.
 
     When f is irreducible this is the minimal polynomial of theta^d for any
     root theta of f; its degree is the degree of the field Q(theta^d).
     """
-    c = char_poly_of_power(f, d)
+    c = char_poly_of_power(f, d, s)
     rad = squarefree_part(c)
     if not rad.is_monic():
         raise ValueError("radical of a monic polynomial must be monic")

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weilpoly import analysis
 from weilpoly.analysis import (
     NEG_INF,
     POS_INF,
@@ -207,6 +208,14 @@ class TestExactModulusCheck:
         # roots +/-1 lie inside +/-2*sqrt(5): there is nothing to isolate
         with pytest.raises(WeilPolyError):
             _isolate_root_above(sturm_chain(P(-1, 0, 1)), 5)
+
+    def test_isolation_stops_on_a_lying_chain(self, monkeypatch):
+        # (x - 5)(x - 6) has two roots above 2*sqrt(5); a count that always
+        # claims one root can never be satisfied, and must end in an error
+        chain = sturm_chain(P(30, -11, 1))
+        monkeypatch.setattr(analysis, "count_between", lambda chain, lo, hi: 1)
+        with pytest.raises(WeilPolyError):
+            _isolate_root_above(chain, 5)
 
     def test_witness_golden(self):
         # every verdict and witness over 1,965 small inputs (706 passes, 585

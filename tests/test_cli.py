@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from weilpoly.cli import main
 
 
@@ -93,10 +95,16 @@ class TestSearch:
 
     def test_csv_jsonl_parity(self, capsys, tmp_path):
         jl, cv = tmp_path / "x.jsonl", tmp_path / "x.csv"
-        run(capsys, "search", "--rho", "5", "--b", "1,2", "--q-max", "9",
-            "--no-timings", "--out", str(jl))
-        run(capsys, "search", "--rho", "5", "--b", "1,2", "--q-max", "9",
-            "--no-timings", "--format", "csv", "--out", str(cv))
+        summaries = [
+            run(capsys, "search", "--rho", "5", "--b", "1,2", "--q-max", "9",
+                "--no-timings", "--out", str(jl))[1],
+            run(capsys, "search", "--rho", "5", "--b", "1,2", "--q-max", "9",
+                "--no-timings", "--format", "csv", "--out", str(cv))[1],
+        ]
+        assert summaries == [
+            "tuples=14 q_polynomial=14 ordinary=14 simple=14 absolutely_simple_yes=6 "
+            "absolutely_simple_no=8 absolutely_simple_inconclusive=0 ll_passed=14\n"
+        ] * 2
         json_rows = [json.loads(line) for line in jl.read_text().splitlines()]
         with open(cv, newline="") as fh:
             csv_rows = list(csv.DictReader(fh))
@@ -157,6 +165,28 @@ class TestEnvPrecision:
         code, _, err = run(capsys, "verify", "--poly", "25,5,1,1,1", "--q", "5")
         assert code == 1
         assert "WEILPOLY_PRECISION_BITS" in err and "lots" in err
+
+
+CLASSIFY_COMMANDS = {
+    "construct": ["--rho", "5", "--b", "1", "--r", "2", "--p", "5", "--n", "1", "--m", "0"],
+    "verify": ["--poly", "25,5,1,1,1", "--q", "5"],
+    "search": ["--rho", "5", "--q-max", "9", "--no-timings"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLASSIFY_COMMANDS))
+class TestPrecisionRange:
+    def test_flag_below_floor_exit_1(self, capsys, command):
+        code, out, err = run(capsys, command, *CLASSIFY_COMMANDS[command],
+                             "--numeric", "--precision-bits", "32")
+        assert code == 1 and out == ""
+        assert "--precision-bits" in err and ">= 64" in err
+
+    def test_env_below_floor_exit_1(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("WEILPOLY_PRECISION_BITS", "32")
+        code, out, err = run(capsys, command, *CLASSIFY_COMMANDS[command], "--numeric")
+        assert code == 1 and out == ""
+        assert "WEILPOLY_PRECISION_BITS" in err and ">= 64" in err
 
 
 def test_usage_error_exit_1(capsys):

@@ -1,11 +1,17 @@
+import hashlib
+import itertools
+import json
+from collections import Counter
+
 import pytest
+import sympy
 
 from weilpoly import engine
+from weilpoly.analysis import exact_modulus_check
 from weilpoly.engine import (
     ClassifyOptions,
     ParamTuple,
     SearchRange,
-    absolute_simplicity_power_test,
     absolutely_simple_g2,
     certify_ordinary,
     certify_simple,
@@ -117,19 +123,42 @@ class TestCertificates:
             absolutely_simple_g2(check_q_symmetry(P(8, 4, 2, 5, 1, 1, 1), 3, 2))
 
     def test_power_test_witnesses(self):
+        scan = engine._absolute_simplicity
         f20 = construct(T3)
-        res = absolute_simplicity_power_test(f20, 6)
-        assert res.certified_no and res.witness_d == 5
+        assert scan(f20, T3) == ("certified_no", 5, None)
+        assert scan(f20, None) == ("certified_no", 5, None)  # d = 2..4 drop nothing
         assert minimal_poly_of_power(f20.poly, 5).degree == 4
 
-        f4 = construct(T1)
-        res = absolute_simplicity_power_test(f4, 20)
-        assert not res.certified_no and res.tested_bound == 20
-
         # theta = i*sqrt(q): theta^2 = -q is rational
-        fq = check_q_symmetry(P(5, 0, 1), 1, 5)
-        res = absolute_simplicity_power_test(fq, 4)
-        assert res.certified_no and res.witness_d == 2
+        assert scan(check_q_symmetry(P(5, 0, 1), 1, 5), None) == ("certified_no", 2, None)
+        # no power up to 2g^2 = 18 drops the degree: no verdict
+        t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
+        assert scan(construct(t71), t71) == ("inconclusive", None, 18)
+
+    def test_g2_rule_agrees_with_power_scan(self):
+        # differential check of the coefficient rule against the scan over
+        # d = 2..8, on every irreducible Weil quartic of a small grid
+        # (irreducibility decided independently by sympy)
+        x = sympy.Symbol("x")
+        found = Counter()
+        for q, p in ((4, 2), (5, 5), (7, 7), (9, 3)):
+            for a1 in range(-6, 7):
+                for a2 in range(-2 * q - 8, 2 * q + 9):
+                    if a2 % p == 0:
+                        continue
+                    f = check_q_symmetry(P(q * q, q * a1, a2, a1, 1), 2, q)
+                    if not exact_modulus_check(f).passed:
+                        continue
+                    if not sympy.Poly(f.poly.coeffs[::-1], x).is_irreducible:
+                        continue
+                    s: list[int] = []
+                    witness = next(
+                        (d for d in range(2, 9) if minimal_poly_of_power(f.poly, d, s).degree < 4),
+                        None,
+                    )
+                    assert (witness is None) == absolutely_simple_g2(f), (q, a1, a2, witness)
+                    found[witness] += 1
+        assert found == {None: 270, 2: 57, 3: 24, 4: 12, 6: 6}
 
     def test_modular_certificate_search(self):
         assert modular_irreducibility_certificate(P(25, 5, 1, 1, 1)) == 2
@@ -151,10 +180,32 @@ class TestClassify:
     def test_b2_witness_without_degree_drop_is_not_certified(self, monkeypatch):
         # if theta^5 did not lie in a proper subfield, the b = 2 witness
         # proves nothing: the general power scan decides instead
-        monkeypatch.setattr(engine, "minimal_poly_of_power", lambda f, d: f)
+        monkeypatch.setattr(engine, "minimal_poly_of_power", lambda f, d, s: f)
         rep = classify(T3)
         assert rep.absolutely_simple == "inconclusive"
         assert rep.witness_d is None
+
+    def test_raw_absolute_simplicity_golden(self):
+        # every raw-input verdict, witness and scan bound, pinned: g = 3 grids
+        # over q in {3, 4}, then the (rho, b, r) = (5, 2, 2) family as bare
+        # (f, q); 14 + 5 certified_no, 238 inconclusive
+        inputs = []
+        for q in (3, 4):
+            for upper in itertools.product(range(-2, 3), range(-3, 4), range(-5, 6)):
+                coeffs = [q ** 3, 0, 0, 0, 0, 0, 1]
+                for j, a in enumerate(upper, start=1):
+                    coeffs[6 - j], coeffs[j] = a, q ** (3 - j) * a
+                inputs.append((P(*coeffs), q))
+        for p, n in ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
+            inputs.append((construct(ParamTuple(rho=5, b=2, r=2, p=p, n=n, m=0)).poly, p ** n))
+        lines = []
+        for f, q in inputs:
+            rep = classify((f, q))
+            record = [q, f.to_string(), rep.absolutely_simple, rep.witness_d, rep.power_test_bound]
+            lines.append(json.dumps(record) + "\n")
+        assert len(lines) == 775
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "4fd850d63667388b39b12f6aa0276085165144a088f7e80163c9be2a8b491801"
 
     def test_raw_counterexample(self):
         rep = classify((P(8, 4, 2, 5, 1, 1, 1), 2))

@@ -122,12 +122,19 @@ class TestPowerSums:
         s = power_sums(f, 4)
         assert s == [6, 14, 36, 98]
 
-    @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=5))
-    def test_matches_direct_sums(self, roots):
+    @given(
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_matches_direct_sums(self, roots, prefix):
         f = from_roots(roots)
         s = power_sums(f, 7)
         for k in range(1, 8):
             assert s[k - 1] == sum(r ** k for r in roots)
+        # a given prefix is extended in place, never shortened
+        head = power_sums(f, prefix)
+        assert power_sums(f, 7, head) is head
+        assert head == power_sums(f, max(7, prefix))
 
 
 class TestCharPolyOfPower:
