@@ -159,13 +159,13 @@ def _cauchy_bound(h: IntPoly) -> int:
     return 2 + m // lc
 
 
-def _isolate_root_above(chain: list[IntPoly], q: int) -> tuple[Fraction, Fraction]:
+def _isolate_root_above(chain: list[IntPoly], q: int, above: int) -> tuple[Fraction, Fraction]:
     """Isolating (lo, hi] interval with rational endpoints for some root of
-    h = chain[0] lying strictly above 2*sqrt(q), where chain = sturm_chain(h)
-    and h(2*sqrt(q)) != 0.  Raises WeilPolyError if h has no such root, or if
-    a loop runs past what the root separation allows (a chain at fault)."""
+    h = chain[0] lying strictly above 2*sqrt(q), where chain = sturm_chain(h),
+    h(2*sqrt(q)) != 0 and h has `above` distinct roots above 2*sqrt(q).
+    Raises WeilPolyError if `above` is 0, or if a loop runs past what the
+    root separation allows (a chain or a count at fault)."""
     h = chain[0]
-    above = _variations(chain, QuadSurd(q, 0, 2)) - _variations(chain, POS_INF)
     if above == 0:
         raise WeilPolyError("no root of h above 2*sqrt(q)")
     # 2^-bits is below the distance between distinct roots of prod = h*(x^2 - 4q),
@@ -227,28 +227,34 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
         for root in (2 * s, -2 * s):
             lin = IntPoly((-root, 1))
             if lin.divides(h0):
-                h0 = h0.divmod_monic(lin)[0]
+                h0 = h0.divmod(lin)[0]
     else:
         edge_factor = IntPoly((-4 * q, 0, 1))  # x^2 - 4q
         if edge_factor.divides(h0):
-            h0 = h0.divmod_monic(edge_factor)[0]
+            h0 = h0.divmod(edge_factor)[0]
     if h0.degree <= 0:
         return ModulusCheckResult(passed=True)
     chain = sturm_chain(h0)
+    if chain[-1].degree > 0:
+        raise NotSquarefree("input must be squarefree")
     edge = QuadSurd(q, 0, 2)  # 2*sqrt(q)
-    inside = count_between(chain, -edge, edge)
+    # sign variations of the chain, taken once per point
+    v_lo, v_hi = _variations(chain, -edge), _variations(chain, edge)
+    inside = v_lo - v_hi
     if inside == h0.degree:
         return ModulusCheckResult(passed=True)
-    total_real = count_between(chain, NEG_INF, POS_INF)
+    v_neg_inf, v_pos_inf = _variations(chain, NEG_INF), _variations(chain, POS_INF)
+    total_real = v_neg_inf - v_pos_inf
     if total_real > inside:
-        if count_between(chain, edge, POS_INF) > 0:
-            a, b = _isolate_root_above(chain, q)
+        above = v_hi - v_pos_inf
+        if above > 0:
+            a, b = _isolate_root_above(chain, q, above)
             side = "above"
         else:
             neg = IntPoly(
                 (-1) ** j * c for j, c in enumerate(h0.coeffs)
             )  # h0(-x), mirrors roots below the band to above it
-            a, b = _isolate_root_above(sturm_chain(neg), q)
+            a, b = _isolate_root_above(sturm_chain(neg), q, v_neg_inf - v_lo)
             a, b = -b, -a
             side = "below"
         witness = {

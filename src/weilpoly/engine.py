@@ -196,12 +196,18 @@ def certify_simple(f: QPolynomial, r: int, rho: int, b: int) -> bool:
     return is_irreducible_mod(ModPoly(r, reduced))
 
 
+@functools.lru_cache(maxsize=None)
+def _certificate_primes(tries: int) -> tuple[int, ...]:
+    """The first `tries` primes, found once per process."""
+    return tuple(primes_first(tries))
+
+
 def modular_irreducibility_certificate(f: IntPoly, tries: int = DEFAULT_RAW_CERT_PRIMES) -> int | None:
     """First prime r (among the first `tries`) with f irreducible mod r, or None.
 
     None never claims reducibility; it only means no certificate was found.
     """
-    for r in primes_first(tries):
+    for r in _certificate_primes(tries):
         if f.lc % r == 0:
             continue
         if is_irreducible_mod(ModPoly.from_intpoly(f, r)):

@@ -47,10 +47,6 @@ class NotSquarefree(WeilPolyError):
     """A squarefree polynomial was required."""
 
 
-class PrimeDividesIndex(WeilPolyError):
-    """The reduction prime divides the cyclotomic index."""
-
-
 # -- quadratic surds --------------------------------------------------------
 
 class RadicandMismatch(WeilPolyError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
@@ -178,17 +177,23 @@ class IntPoly:
             c = -c
         return IntPoly(a // c for a in self.coeffs)
 
-    def divmod_monic(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Quotient and remainder by a monic divisor; exact over the integers."""
-        if not divisor.is_monic():
-            raise ValueError("divisor must be monic")
+    def divmod(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
+        """Quotient and remainder over Z.  Raises ValueError when a quotient
+        coefficient is not an integer, which a monic divisor never causes."""
+        if divisor.is_zero():
+            raise ZeroPolynomial("division by zero polynomial")
         rem = list(self.coeffs)
         d = divisor.degree
+        lc = divisor.lc
         quot = [0] * max(0, len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
+            if lc != 1:
+                c, m = divmod(c, lc)
+                if m:
+                    raise ValueError("quotient is not an integer polynomial")
             quot[i - d] = c
             for j, b in enumerate(divisor.coeffs):
                 rem[i - d + j] -= c * b
@@ -196,7 +201,7 @@ class IntPoly:
 
     def divides(self, f: "IntPoly") -> bool:
         """True iff self (monic) divides f exactly."""
-        _, r = f.divmod_monic(self)
+        _, r = f.divmod(self)
         return r.is_zero()
 
 
@@ -241,31 +246,6 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return a.scale(cont)
 
 
-def _div_exact_rational(f: IntPoly, d: IntPoly) -> IntPoly:
-    """f / d where the division is exact over Q and the true quotient is integral
-    up to content; returns the primitive quotient with positive leading coefficient."""
-    if d.is_zero():
-        raise ZeroPolynomial("division by zero polynomial")
-    rem = [Fraction(c) for c in f.coeffs]
-    dd = d.degree
-    dl = Fraction(d.lc)
-    quot = [Fraction(0)] * max(0, len(rem) - dd)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q = c / dl
-        quot[i - dd] = q
-        for j, b in enumerate(d.coeffs):
-            rem[i - dd + j] -= q * b
-    if any(rem):
-        raise ValueError("division is not exact")
-    denom = 1
-    for q in quot:
-        denom = denom * q.denominator // int_gcd(denom, q.denominator)
-    return IntPoly(int(q * denom) for q in quot).primitive()
-
-
 def squarefree_part(f: IntPoly) -> IntPoly:
     """The radical f / gcd(f, f'), primitive with positive leading coefficient.
 
@@ -279,7 +259,12 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     d = poly_gcd(f, f.derivative())
     if d.degree == 0:
         return f.primitive()
-    return _div_exact_rational(f, d)
+    # by Gauss's lemma the quotient of the primitive parts is integral, and
+    # primitive with positive leading coefficient
+    quot, rem = f.primitive().divmod(d.primitive())
+    if not rem.is_zero():
+        raise ValueError("division is not exact")
+    return quot
 
 
 # -- cyclotomic polynomials ----------------------------------------------------
@@ -294,7 +279,7 @@ def cyclotomic(n: int) -> IntPoly:
     poly = IntPoly((-1,) + (0,) * (n - 1) + (1,))  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = poly.divmod_monic(cyclotomic(d))
+            poly, rem = poly.divmod(cyclotomic(d))
             if not rem.is_zero():
                 raise WeilPolyError(f"cyclotomic({d}) does not divide x^{n} - 1")
     return poly

@@ -1,20 +1,17 @@
-"""Polynomial arithmetic over prime fields F_r and distinct-degree profiles.
+"""Polynomial arithmetic over prime fields F_r and an irreducibility test.
 
 A ModPoly stores its prime modulus and a low-to-high coefficient tuple with
-every coefficient reduced into [0, r).  The factorization machinery stops at
-the distinct-degree profile: the family of (degree d, number of irreducible
-factors of degree d) pairs.  No equal-degree splitting is performed, so the
-module is fully deterministic.
+every coefficient reduced into [0, r).  Irreducibility is decided by Ben-Or's
+test, which stops at the first factor it finds; nothing here factors a
+polynomial, so the module is fully deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ModulusMismatch, NotSquarefree, PrimeDividesIndex
-from .intpoly import IntPoly, cyclotomic, reduce_mod
-from .numtheory import euler_phi, multiplicative_order
+from .errors import ModulusMismatch
+from .intpoly import IntPoly, reduce_mod
 
 
 class ModPoly:
@@ -108,9 +105,6 @@ class ModPoly:
         inv = pow(self.lc, -1, self.r)
         return self.scale(inv)
 
-    def derivative(self) -> "ModPoly":
-        return ModPoly(self.r, (j * self.coeffs[j] for j in range(1, len(self.coeffs))))
-
     def divmod(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
         self._check(other)
         if other.is_zero():
@@ -160,76 +154,22 @@ def powmod(base: ModPoly, e: int, modpoly: ModPoly) -> ModPoly:
     return result
 
 
-def is_squarefree(f: ModPoly) -> bool:
-    """True iff gcd(f, f') is constant."""
-    if f.is_zero():
-        raise ValueError("squarefree test on zero polynomial")
-    return ff_gcd(f, f.derivative()).degree <= 0
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Sorted (factor degree, factor count) pairs of a squarefree polynomial."""
-
-    entries: tuple[tuple[int, int], ...]
-
-
-def distinct_degree_profile(f: ModPoly) -> DegreeProfile:
-    """Distinct-degree factorization profile of a squarefree polynomial.
-
-    Raises NotSquarefree on a polynomial with a repeated factor.
-    """
-    if f.degree < 1:
-        raise ValueError("profile of a constant polynomial")
-    if not is_squarefree(f):
-        raise NotSquarefree("distinct-degree profile requires a squarefree input")
-    return _profile(f)
-
-
-def _profile(f: ModPoly) -> DegreeProfile:
-    """Profile of a nonconstant f already known to be squarefree.
-
-    Iterates gcd(f, x^(r^d) - x), which extracts the product of all
-    irreducible factors of degree exactly d.
-    """
-    v = f.monic()
-    r = f.r
-    x = ModPoly.x(r)
-    w = x % v
-    entries: list[tuple[int, int]] = []
-    d = 0
-    while v.degree >= 2 * (d + 1):
-        d += 1
-        w = powmod(w, r, v)
-        g = ff_gcd(v, w - x)
-        if g.degree > 0:
-            entries.append((d, g.degree // d))
-            v = v.divmod(g)[0]
-            w = w % v
-    if v.degree > 0:
-        entries.append((v.degree, 1))
-    return DegreeProfile(tuple(entries))
-
-
 def is_irreducible_mod(f: ModPoly) -> bool:
-    """True iff monic nonconstant f is irreducible over F_r."""
+    """True iff nonconstant f is irreducible over F_r (Ben-Or's test).
+
+    For d = 1 .. deg(f) // 2, f is reducible iff some gcd(f, x^(r^d) - x) is
+    nonconstant.  A reducible f of degree n, including one with a repeated
+    factor, has an irreducible factor of some degree k <= n/2, and that factor
+    divides x^(r^k) - x.  An irreducible f of degree n divides x^(r^d) - x only
+    when n divides d, so it shares no factor with it for any 0 < d < n.  No
+    separate squarefree test is needed.
+    """
     if f.degree < 1:
         raise ValueError("irreducibility of a constant polynomial")
-    if f.degree == 1:
-        return True
-    return is_squarefree(f) and _profile(f).entries == ((f.degree, 1),)
-
-
-def guerrier_check(n: int, r: int) -> bool:
-    """Verify that the n-th cyclotomic polynomial factors mod r into
-    phi(n)/ord_n(r) distinct irreducible factors of degree ord_n(r).
-
-    This is a classical theorem, so the check must return True whenever
-    r does not divide n; it exists as an executable self-test.
-    """
-    if n % r == 0:
-        raise PrimeDividesIndex(f"{r} divides {n}")
-    phi = euler_phi(n)
-    order = multiplicative_order(r, n) if n >= 2 else 1
-    profile = distinct_degree_profile(ModPoly.from_intpoly(cyclotomic(n), r))
-    return profile.entries == ((order, phi // order),)
+    x = ModPoly.x(f.r)
+    w = x
+    for _ in range(f.degree // 2):
+        w = powmod(w, f.r, f)
+        if ff_gcd(f, w - x).degree > 0:
+            return False
+    return True

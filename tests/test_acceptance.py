@@ -14,6 +14,7 @@ import time
 
 import mpmath
 import pytest
+from ddf_oracle import guerrier_check
 
 from weilpoly.analysis import exact_modulus_check, numeric_roots
 from weilpoly.engine import (
@@ -34,7 +35,6 @@ from weilpoly.intpoly import (
     minimal_poly_of_power,
     reduce_mod,
 )
-from weilpoly.modpoly import guerrier_check
 from weilpoly.numtheory import primes_first
 from weilpoly.surd import QuadSurd, ll_unit_circle_check, m_max, substitute_sqrt_scale
 

@@ -204,10 +204,25 @@ class TestExactModulusCheck:
         # the isolating interval contains exactly one sign change of h
         assert (eval_fraction(h, Fraction(lo)) > 0) != (eval_fraction(h, Fraction(hi)) > 0)
 
+    def test_chain_evaluated_once_at_the_band_edge(self, monkeypatch):
+        # the above-band rejection of test_real_root_above_band takes the
+        # variations at 2*sqrt(q) once, and reuses them to isolate the root
+        points = []
+        variations = analysis._variations
+
+        def spy(chain, point):
+            points.append(point)
+            return variations(chain, point)
+
+        monkeypatch.setattr(analysis, "_variations", spy)
+        res = exact_modulus_check(symmetric_poly(2, 5, [-5, 1]))
+        assert res.witness["side"] == "above"
+        assert points.count(QuadSurd(5, 0, 2)) == 1
+
     def test_isolation_needs_a_root_above_the_band(self):
         # roots +/-1 lie inside +/-2*sqrt(5): there is nothing to isolate
         with pytest.raises(WeilPolyError):
-            _isolate_root_above(sturm_chain(P(-1, 0, 1)), 5)
+            _isolate_root_above(sturm_chain(P(-1, 0, 1)), 5, 0)
 
     def test_isolation_stops_on_a_lying_chain(self, monkeypatch):
         # (x - 5)(x - 6) has two roots above 2*sqrt(5); a count that always
@@ -215,7 +230,7 @@ class TestExactModulusCheck:
         chain = sturm_chain(P(30, -11, 1))
         monkeypatch.setattr(analysis, "count_between", lambda chain, lo, hi: 1)
         with pytest.raises(WeilPolyError):
-            _isolate_root_above(chain, 5)
+            _isolate_root_above(chain, 5, 2)
 
     def test_witness_golden(self):
         # every verdict and witness over 1,965 small inputs (706 passes, 585

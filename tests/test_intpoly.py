@@ -1,4 +1,5 @@
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,13 @@ class TestArithmetic:
             IntPoly.from_string("")
         with pytest.raises(ValueError):
             IntPoly.from_string("1,x,3")
+
+    def test_divmod(self):
+        # monic and non-monic divisors; a non-integral quotient is refused
+        assert P(1, 1, 1).divmod(P(-1, 1)) == (P(2, 1), P(3))
+        assert P(-2, -1, 6).divmod(P(1, 2)) == (P(-2, 3), IntPoly.zero())
+        with pytest.raises(ValueError):
+            P(1, 0, 1).divmod(P(1, 2))
 
     @given(small_polys, small_polys, small_polys)
     def test_distributivity(self, a, b, c):
@@ -179,6 +187,9 @@ class TestGcdAndRadical:
     def test_radical_of_product(self):
         f = P(-1, 1) ** 2 * P(2, 1)
         assert squarefree_part(f) == P(-1, 1) * P(2, 1)
+        # 6(x - 1)^2 (2x + 1)(2 - 3x)^3: non-monic and non-primitive
+        f = (P(-1, 1) ** 2 * P(1, 2) * P(2, -3) ** 3).scale(6)
+        assert squarefree_part(f) == P(2, -1, -7, 6)
 
     def test_radical_of_squarefree_is_self(self):
         f = P(-1, 1) * P(2, 1) * P(0, 1)
@@ -195,6 +206,26 @@ class TestGcdAndRadical:
         for r, e in pairs:
             f = f * P(-r, 1) ** e
         assert squarefree_part(f) == from_roots([r for r, _ in pairs])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-5, 5), min_size=2, max_size=3).filter(lambda cs: cs[-1]),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(-6, 6).filter(bool),
+    )
+    @settings(max_examples=80)
+    def test_radical_matches_sympy(self, factors, content):
+        # non-monic, non-primitive products of repeated factors
+        f = IntPoly((content,))
+        for cs, e in factors:
+            f = f * IntPoly(cs) ** e
+        expected = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"), domain="ZZ").sqf_part()
+        assert squarefree_part(f).coeffs == tuple(int(c) for c in reversed(expected.all_coeffs()))
 
     @given(small_polys, small_polys)
     @settings(max_examples=80)

