@@ -44,7 +44,7 @@ from .numtheory import (
     multiplicative_order,
     prime_power_decompose,
 )
-from .surd import LLReport, QuadSurd, ll_unit_circle_check, m_max, substitute_sqrt_scale
+from .surd import QuadSurd, ll_unit_circle_check, m_max
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "ClassificationReport",
     "ClassifyOptions",
     "IntPoly",
-    "LLReport",
     "ModPoly",
     "ModulusCheckResult",
     "ParamTuple",
@@ -90,6 +89,5 @@ __all__ = [
     "search",
     "search_summary",
     "squarefree_part",
-    "substitute_sqrt_scale",
     "validate_tuple",
 ]

@@ -6,8 +6,9 @@ with f(t) = t^g * h(t + q/t).  Every root pair (z, q/z) of f maps to the root
 x = z + q/z of h, and |z| = sqrt(q) exactly when x is real with
 |x| <= 2*sqrt(q).  So "all roots of f on the circle |z| = sqrt(q)" is
 equivalent to "h is totally real with all roots in [-2*sqrt(q), 2*sqrt(q)]",
-which Sturm chains decide exactly: the interval endpoints are quadratic surds
-and all chain signs are evaluated in Z[sqrt(q)].
+which Sturm chains decide exactly: at the endpoints +/-2*sqrt(q) each chain
+element p(x) = E(x^2) + x*O(x^2) takes the value E(4q) +/- 2*sqrt(q)*O(4q),
+whose sign is one integer comparison.
 
 The numeric oracle (simultaneous root iteration via mpmath) is deliberately
 independent of the Sturm route and is used to cross-check it.
@@ -19,8 +20,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import (
     EndpointRoot,
     NoConvergence,
@@ -29,7 +28,7 @@ from .errors import (
     WeilPolyError,
     ZeroPolynomial,
 )
-from .intpoly import IntPoly, QPolynomial, pseudo_remainder, squarefree_part
+from .intpoly import IntPoly, QPolynomial, pseudo_remainder
 from .numtheory import integer_sqrt
 from .surd import QuadSurd
 
@@ -108,8 +107,16 @@ def sturm_chain(h: IntPoly) -> list[IntPoly]:
     return chain
 
 
+def _horner(coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _sign_at(p: IntPoly, point) -> int:
-    """Exact sign of p at a QuadSurd, Fraction, or +/- infinity."""
+    """Exact sign of p at a Fraction, +/- infinity, or a QuadSurd that is an
+    integer a or an integer multiple b*sqrt(D)."""
     if isinstance(point, _Infinity):
         if p.is_zero():
             return 0
@@ -118,10 +125,13 @@ def _sign_at(p: IntPoly, point) -> int:
             s = -s
         return s
     if isinstance(point, QuadSurd):
-        acc = QuadSurd(point.D, 0, 0)
-        for c in reversed(p.coeffs):
-            acc = acc * point + QuadSurd(point.D, c, 0)
-        return acc.sign()
+        a, b = point.a, point.b
+        if a and b:
+            raise ValueError(f"{point!r} is neither an integer nor a multiple of sqrt(D)")
+        # x = a + b*sqrt(D) has x^2 = a^2 + b^2*D, so p(x) = E(x^2) + x*O(x^2)
+        x2 = a * a + b * b * point.D
+        even, odd = _horner(p.coeffs[0::2], x2), _horner(p.coeffs[1::2], x2)
+        return QuadSurd(point.D, even + a * odd, b * odd).sign()
     if isinstance(point, Fraction):
         u, v = point.numerator, point.denominator
         n = max(p.degree, 0)
@@ -212,7 +222,8 @@ class ModulusCheckResult:
 def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
     """Decide exactly whether every root of f has modulus sqrt(q).
 
-    Reduces f to the degree-g polynomial h, strips multiplicities, accepts
+    Reduces f to the degree-g polynomial h, strips multiplicities (dividing h
+    by the last element of its Sturm chain, gcd(h, h')), accepts
     endpoint factors (roots t = +/-sqrt(q), which appear in h as roots at
     +/-2*sqrt(q)), and requires all remaining roots of h to be real and
     strictly inside (-2*sqrt(q), 2*sqrt(q)).  On failure the witness isolates
@@ -221,7 +232,10 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
     """
     q = f.q
     h = real_weil_transform(f).h
-    h0 = squarefree_part(h)
+    chain = sturm_chain(h)
+    h0 = h
+    if chain[-1].degree > 0:
+        h0 = h.divmod(chain[-1].primitive())[0]
     s = integer_sqrt(q)
     if s * s == q:
         for root in (2 * s, -2 * s):
@@ -234,9 +248,8 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
             h0 = h0.divmod(edge_factor)[0]
     if h0.degree <= 0:
         return ModulusCheckResult(passed=True)
-    chain = sturm_chain(h0)
-    if chain[-1].degree > 0:
-        raise NotSquarefree("input must be squarefree")
+    if h0.degree < h.degree:  # the radical or an endpoint factor changed h
+        chain = sturm_chain(h0)
     edge = QuadSurd(q, 0, 2)  # 2*sqrt(q)
     # sign variations of the chain, taken once per point
     v_lo, v_hi = _variations(chain, -edge), _variations(chain, edge)
@@ -296,12 +309,15 @@ def default_precision_bits(f: IntPoly) -> int:
 def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None = None) -> RootReport:
     """All complex roots by simultaneous iteration at high working precision.
 
-    Residuals are certified: every root z must have relative backward error
+    mpmath is imported here, so only the numeric oracle loads it.  Residuals
+    are certified: every root z must have relative backward error
     |f(z)| / sum_i |f_i| |z|^i below 2^(-precision_bits/2), else the working
     precision is raised and the iteration retried; NoConvergence is raised
     (with partial results) after the retry cap.  When q is supplied the
     report carries | |z| - sqrt(q) | / sqrt(q) for every root.
     """
+    import mpmath
+
     if f.degree < 1:
         raise ValueError("numeric_roots expects a nonconstant polynomial")
     if precision_bits is None:

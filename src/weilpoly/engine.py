@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator
@@ -49,7 +48,7 @@ from .numtheory import (
     prime_power_decompose,
     primes_first,
 )
-from .surd import QuadSurd, ll_unit_circle_check, m_max, substitute_sqrt_scale
+from .surd import ll_unit_circle_check, m_max
 
 DEFAULT_RAW_CERT_PRIMES = 25  # primes tried for a modular irreducibility certificate
 
@@ -186,14 +185,14 @@ def certify_ordinary(f: QPolynomial, p: int) -> bool:
 
 def certify_simple(f: QPolynomial, r: int, rho: int, b: int) -> bool:
     """Irreducibility certificate: f reduces mod r to the rho^b-th cyclotomic
-    polynomial and that reduction is irreducible over F_r (which it is
-    whenever r is a primitive root mod rho^2).  True certifies f irreducible
-    over Q, hence (for an ordinary Weil polynomial) simplicity."""
-    reduced = reduce_mod(f.poly, r)
-    target = reduce_mod(cyclotomic(rho ** b), r)
-    if reduced != target:
+    polynomial, and that reduction is irreducible over F_r.  Phi_n is
+    irreducible over F_r exactly when r is a primitive root mod n (Lidl &
+    Niederreiter, Finite Fields, Thm 2.47), which fails when r divides n.
+    True certifies f irreducible over Q, hence (for an ordinary Weil
+    polynomial) simplicity."""
+    if reduce_mod(f.poly, r) != reduce_mod(cyclotomic(rho ** b), r):
         return False
-    return is_irreducible_mod(ModPoly(r, reduced))
+    return is_primitive_root_mod(r, rho ** b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,13 +320,6 @@ def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, i
     return "inconclusive", None, bound
 
 
-def _ll_check_default(f: QPolynomial) -> bool:
-    """Unit-circle sufficiency check with the canonical shift q^g."""
-    coeffs = substitute_sqrt_scale(f.poly.coeffs, f.q)
-    delta = QuadSurd(f.q, f.q ** f.g, 0)
-    return ll_unit_circle_check(coeffs, delta).passed
-
-
 def classify(
     source: ParamTuple | tuple[IntPoly, int],
     options: ClassifyOptions = ClassifyOptions(),
@@ -410,7 +402,7 @@ def classify(
     report.is_q_polynomial = modulus.passed
     report.modulus_witness = modulus.witness
 
-    report.ll_passed = clock("ll_check", lambda: _ll_check_default(qpoly))
+    report.ll_passed = clock("ll_check", lambda: ll_unit_circle_check(qpoly))
     report.method = "exact+ll" if report.ll_passed else "exact"
 
     if p is not None:
@@ -499,14 +491,17 @@ def search(
 ) -> Iterator[ClassificationReport]:
     """Validate, construct, and classify every tuple in the range.
 
-    Invalid tuples are skipped.  Output order is the lexicographic candidate
-    order regardless of worker count.
+    Invalid tuples are skipped; one worker validates each tuple as the stream
+    reaches it.  Output order is the lexicographic candidate order regardless
+    of worker count.
     """
-    valid = [t for t in rng.candidate_tuples() if tuple_is_valid(t)]
+    valid = (t for t in rng.candidate_tuples() if tuple_is_valid(t))
     if workers <= 1:
         for t in valid:
             yield classify(t, options)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only sweeps with workers load it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(functools.partial(classify, options=options), valid, chunksize=1)
 

@@ -47,20 +47,6 @@ class NotSquarefree(WeilPolyError):
     """A squarefree polynomial was required."""
 
 
-# -- quadratic surds --------------------------------------------------------
-
-class RadicandMismatch(WeilPolyError):
-    """Surd operands have different radicands D."""
-
-
-class HypothesisViolated(WeilPolyError):
-    """The unit-circle criterion's delta preconditions fail."""
-
-
-class NotReciprocal(WeilPolyError):
-    """Coefficient sequence is not palindromic."""
-
-
 # -- root analysis ----------------------------------------------------------
 
 class NotSymmetric(WeilPolyError):

@@ -47,9 +47,6 @@ class ModPoly:
     def lc(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def coeff(self, j: int) -> int:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ModPoly)

@@ -36,7 +36,7 @@ from weilpoly.intpoly import (
     reduce_mod,
 )
 from weilpoly.numtheory import primes_first
-from weilpoly.surd import QuadSurd, ll_unit_circle_check, m_max, substitute_sqrt_scale
+from weilpoly.surd import ll_unit_circle_check, m_max
 
 COUNTEREXAMPLE_DEG6 = IntPoly([8, 4, 2, 5, 1, 1, 1])  # t^6+t^5+t^4+5t^3+2t^2+4t+8, q=2
 COUNTEREXAMPLE_Q8 = IntPoly([64, 16, 2, 2, 1])  # t^4+2t^3+2t^2+16t+64, q=8
@@ -99,10 +99,7 @@ def test_ac3_construction_sweep_zero_violations(sweep_tuples):
             violations.append((t, "cyclotomic congruence"))
         if not exact_modulus_check(f).passed:
             violations.append((t, "exact modulus"))
-        ll = ll_unit_circle_check(
-            substitute_sqrt_scale(f.poly.coeffs, t.q), QuadSurd(t.q, t.q ** t.g, 0)
-        )
-        if ll.S.sign() < 0:
+        if not ll_unit_circle_check(f):
             violations.append((t, "unit-circle S < 0"))
         if not certify_ordinary(f, t.p):
             violations.append((t, "ordinary"))

@@ -32,6 +32,7 @@ from weilpoly.intpoly import (
     reduce_mod,
 )
 from weilpoly.modpoly import ModPoly, is_irreducible_mod
+from weilpoly.numtheory import primes_first
 
 T1 = ParamTuple(rho=5, b=1, r=2, p=5, n=1, m=0)
 T2 = ParamTuple(rho=5, b=1, r=3, p=2, n=2, m=0)
@@ -111,6 +112,19 @@ class TestCertificates:
         assert certify_simple(check_q_symmetry(P(25, 5, 1, 1, 1), 2, 5), 2, 5, 1)
         assert certify_simple(check_q_symmetry(P(16, 4, 1, 1, 1), 2, 4), 3, 5, 1)
         assert not certify_simple(check_q_symmetry(P(64, 16, 2, 2, 1), 2, 8), 2, 5, 1)
+
+    def test_simple_by_order_matches_ben_or(self):
+        # Phi_n itself (q-symmetric with q = 1) passes the congruence for every r,
+        # so certify_simple answers by the order of r alone; Ben-Or is the oracle
+        answers = set()
+        for rho, b in ((5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)):
+            phi = cyclotomic(rho ** b)
+            f = check_q_symmetry(phi, phi.degree // 2, 1)
+            for r in primes_first(17):  # the primes below 60, rho among them
+                expected = is_irreducible_mod(ModPoly(r, reduce_mod(phi, r)))
+                assert certify_simple(f, r, rho, b) == expected, (rho, b, r)
+                answers.add(expected)
+        assert answers == {True, False}
 
     def test_absolutely_simple_g2(self):
         assert absolutely_simple_g2(check_q_symmetry(P(25, 5, 1, 1, 1), 2, 5))
@@ -281,6 +295,15 @@ class TestSearch:
         assert summary["tuples"] == len(reports) > 0
         assert summary["q_polynomial"] == summary["tuples"]
         assert summary["absolutely_simple_yes"] == summary["tuples"]
+
+    def test_validation_streams(self, monkeypatch):
+        # the first report waits for its own tuple's validation only, not the
+        # whole grid's (1,709 candidates here)
+        validated = []
+        is_valid = engine.tuple_is_valid
+        monkeypatch.setattr(engine, "tuple_is_valid", lambda t: validated.append(t) or is_valid(t))
+        next(search(SearchRange(rhos=(5, 7), bs=(1, 2), q_max=1024)))
+        assert len(validated) == 1
 
     def test_workers_preserve_order_and_content(self):
         rng = SearchRange(rhos=(5,), bs=(1, 2), q_max=9)

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +57,21 @@ def test_every_definition_used_in_src():
             if not re.search(rf"\b{re.escape(node.name)}\b", rest):
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # mpmath is loaded by the numeric oracle and the process pool by a
+    # multi-worker search, each only when it runs
+    code = (
+        "import sys, weilpoly.cli; "
+        "print([m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
