@@ -3,7 +3,6 @@ simple ordinary abelian varieties over finite fields."""
 
 from .analysis import (
     ModulusCheckResult,
-    RealWeilPoly,
     RootReport,
     exact_modulus_check,
     numeric_roots,
@@ -58,7 +57,6 @@ __all__ = [
     "PrimePower",
     "QPolynomial",
     "QuadSurd",
-    "RealWeilPoly",
     "RootReport",
     "SearchRange",
     "absolutely_simple_g2",

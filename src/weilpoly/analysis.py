@@ -57,25 +57,15 @@ def _dickson_basis(k: int, q: int) -> IntPoly:
     return IntPoly.x() * _dickson_basis(k - 1, q) - _dickson_basis(k - 2, q).scale(q)
 
 
-@dataclass(frozen=True)
-class RealWeilPoly:
-    """The degree-g polynomial h with f(t) = t^g * h(t + q/t)."""
-
-    h: IntPoly
-    g: int
-    q: int
-
-
-def real_weil_transform(f: QPolynomial) -> RealWeilPoly:
-    """Compute h with f(t) = t^g * h(t + q/t), exactly."""
+def real_weil_transform(f: QPolynomial) -> IntPoly:
+    """The degree-g polynomial h with f(t) = t^g * h(t + q/t), exactly."""
     if not isinstance(f, QPolynomial):
         raise NotSymmetric("expected a checked QPolynomial; run check_q_symmetry first")
     g, q = f.g, f.q
     h = _dickson_basis(g, q)
     for j in range(1, g):
         h = h + _dickson_basis(g - j, q).scale(f.a(j))
-    h = h + IntPoly((f.middle,))
-    return RealWeilPoly(h=h, g=g, q=q)
+    return h + IntPoly((f.middle,))
 
 
 # -- Sturm machinery -----------------------------------------------------------
@@ -231,7 +221,7 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
     nonreal roots.
     """
     q = f.q
-    h = real_weil_transform(f).h
+    h = real_weil_transform(f)
     chain = sturm_chain(h)
     h0 = h
     if chain[-1].degree > 0:

@@ -4,10 +4,6 @@ Exit codes: 0 success / verification positive, 1 malformed arguments or
 input, 2 invalid parameter tuple, 3 verification negative (the input is not
 a q-polynomial).  Polynomials are read and written as comma-separated
 decimal coefficients, low degree first ("25,5,1,1,1" is t^4+t^3+t^2+5t+25).
-
-The environment variable WEILPOLY_PRECISION_BITS sets the default numeric
-oracle precision; a value that is not an integer of at least 64 is an
-error (exit 1), as it is for --precision-bits.
 """
 
 from __future__ import annotations
@@ -15,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .engine import (
@@ -30,7 +25,6 @@ from .engine import (
     search_summary,
     validate_tuple,
 )
-from .analysis import MIN_PRECISION_BITS
 from .intpoly import IntPoly
 from .numtheory import is_prime, prime_power_decompose
 from .errors import NotPrimePower
@@ -50,27 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _precision_bits(text: str) -> int:
-    try:
-        bits = int(text)
-    except ValueError:
-        bits = None
-    if bits is None or bits < MIN_PRECISION_BITS:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {MIN_PRECISION_BITS} (got {text!r})")
-    return bits
-
-
-def _default_precision() -> int | None:
-    """WEILPOLY_PRECISION_BITS as an int; ValueError if it is set but malformed."""
-    raw = os.environ.get("WEILPOLY_PRECISION_BITS")
-    if raw is None:
-        return None
-    try:
-        return _precision_bits(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"WEILPOLY_PRECISION_BITS {exc}") from None
-
-
 def _print_report(rep: ClassificationReport) -> None:
     d = rep.to_json_dict(include_timings=False)
     for key in REPORT_FIELDS:
@@ -83,12 +56,10 @@ def _print_report(rep: ClassificationReport) -> None:
 def _add_classify_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--numeric", action="store_true",
                      help="also run the numeric root oracle")
-    sub.add_argument("--precision-bits", type=_precision_bits, default=_default_precision(),
-                     help="numeric oracle working precision")
 
 
 def _options_from(args) -> ClassifyOptions:
-    return ClassifyOptions(with_numeric=args.numeric, precision_bits=args.precision_bits)
+    return ClassifyOptions(with_numeric=args.numeric)
 
 
 def cmd_construct(args) -> int:
@@ -150,6 +121,9 @@ def cmd_search(args) -> int:
     if args.m_policy not in ("corners", "all"):
         print("error: --m-policy must be corners or all", file=sys.stderr)
         return EXIT_USAGE
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1 (got {args.workers})", file=sys.stderr)
+        return EXIT_USAGE
     rng = SearchRange(
         rhos=rhos, bs=bs, rs=rs, q_min=args.q_min, q_max=args.q_max,
         m_policy=args.m_policy,
@@ -184,19 +158,26 @@ def cmd_search(args) -> int:
 
 
 def _load_jsonl(path: str) -> list[dict]:
+    """The report objects of a JSONL file; ValueError names a bad line."""
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+            if not isinstance(row, dict) or not isinstance(row.get("tuple") or {}, dict):
+                raise ValueError(f"line {number}: not a report object with an object or null tuple")
+            rows.append(row)
     return rows
 
 
 def cmd_report(args) -> int:
     try:
         rows = _load_jsonl(args.infile)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     groups: dict[tuple, dict] = {}
@@ -265,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None, help="output path (default stdout)")
     s.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     s.add_argument("--no-timings", action="store_true")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="worker processes (>= 1); each keeps a few tuples in flight")
     _add_classify_flags(s)
     s.set_defaults(func=cmd_search)
 
@@ -277,12 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.func(args)

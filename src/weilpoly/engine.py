@@ -10,7 +10,8 @@ constructed polynomial
 Frobenius of a simple ordinary abelian variety of dimension g over F_q.  The
 preconditions: rho >= 5 prime, b >= 1, r prime and a primitive root mod
 rho^2, q >= 4 with q = 1 mod r, 0 <= m <= m_max(q, rho^(b-1), r), and
-m != -1/r mod p.
+m != -1/r mod p.  validate_tuple checks them, together with the size caps
+2g <= MAX_TWO_G and q <= MAX_Q.
 
 classify() re-derives every asserted property from scratch, with exact
 certificates: the coefficient symmetry, the root-modulus condition (Sturm),
@@ -23,8 +24,10 @@ coefficient rule, or minimal polynomials of root powers).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator
@@ -51,6 +54,9 @@ from .numtheory import (
 from .surd import ll_unit_circle_check, m_max
 
 DEFAULT_RAW_CERT_PRIMES = 25  # primes tried for a modular irreducibility certificate
+MAX_TWO_G = 256  # the degree cap of a tuple
+MAX_Q = 2 ** 32  # the field size cap of a tuple
+SEARCH_WINDOW_PER_WORKER = 4  # tuples in flight per worker of a parallel search
 
 # the parameters of a tuple, in report and CSV order
 TUPLE_KEYS = ("rho", "b", "r", "p", "n", "m")
@@ -137,34 +143,19 @@ def validate_tuple(t: ParamTuple) -> list[PreconditionCheck]:
         cong_ok = False
         detail = "r not invertible mod p"
     checks.append(PreconditionCheck("m != -1/r mod p", cong_ok, detail))
+
+    # the caps keep the downstream exact algebra tractable
+    two_g = t.rho ** (t.b - 1) * (t.rho - 1) if t.b >= 1 else 0
+    checks.append(PreconditionCheck("degree cap", two_g <= MAX_TWO_G, f"2g={two_g}, cap={MAX_TWO_G}"))
+    checks.append(PreconditionCheck("field size cap", q <= MAX_Q, f"q={q}, cap={MAX_Q}"))
     return checks
 
 
-def tuple_is_valid(t: ParamTuple) -> bool:
-    return all(c.passed for c in validate_tuple(t))
-
-
-DEFAULT_MAX_TWO_G = 256
-DEFAULT_MAX_Q = 2 ** 32
-
-
-def construct(
-    t: ParamTuple,
-    max_two_g: int = DEFAULT_MAX_TWO_G,
-    max_q: int = DEFAULT_MAX_Q,
-) -> QPolynomial:
-    """Build the parametrized polynomial; raises InvalidTuple on bad input.
-
-    The degree and field-size caps keep downstream exact algebra tractable;
-    raise them explicitly for larger experiments.
-    """
+def construct(t: ParamTuple) -> QPolynomial:
+    """Build the parametrized polynomial; raises InvalidTuple on bad input."""
     failures = [c.name for c in validate_tuple(t) if not c.passed]
     if failures:
         raise InvalidTuple(f"invalid tuple {t}: {', '.join(failures)}", failures)
-    if 2 * t.g > max_two_g:
-        raise InvalidTuple(f"2g = {2 * t.g} exceeds the cap {max_two_g}", ["degree cap"])
-    if t.q > max_q:
-        raise InvalidTuple(f"q = {t.q} exceeds the cap {max_q}", ["field size cap"])
     g, q, d = t.g, t.q, t.dpow
     coeffs = [0] * (2 * g + 1)
     coeffs[2 * g] = 1
@@ -256,7 +247,7 @@ class ClassificationReport:
     p: int | None
     poly: IntPoly
     is_q_polynomial: bool
-    method: str  # "exact+ll" | "exact" | "shape"
+    method: str  # "exact+ll" | "exact" | "shape" | "invalid_tuple"
     symmetry_fail_index: int | None = None
     modulus_witness: dict | None = None
     ll_passed: bool | None = None
@@ -299,7 +290,6 @@ class ClassificationReport:
 @dataclass(frozen=True)
 class ClassifyOptions:
     with_numeric: bool = False
-    precision_bits: int | None = None
 
 
 def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, int | None, int | None]:
@@ -334,69 +324,37 @@ def classify(
         return out
 
     if isinstance(source, ParamTuple):
-        try:
-            qpoly = clock("construct", lambda: construct(source))
-        except InvalidTuple as exc:
-            return ClassificationReport(
-                tuple=source,
-                g=source.g if source.b >= 1 else 0,
-                q=source.q if source.n >= 1 else 0,
-                p=source.p,
-                poly=IntPoly.zero(),
-                is_q_polynomial=False,
-                method="invalid_tuple",
-                failed_preconditions=list(exc.failures),
-                timings_ms=timings,
-            )
-        tup = source
-        p = source.p
-        raw_poly = qpoly.poly
-        g, q = qpoly.g, qpoly.q
+        tup, raw_poly, p = source, IntPoly.zero(), source.p
+        g = source.g if source.b >= 1 else 0
+        q = source.q if source.n >= 1 else 0
     else:
-        raw_poly, q = source
-        tup = None
+        (raw_poly, q), tup = source, None
+        even = raw_poly.degree >= 2 and raw_poly.degree % 2 == 0
+        g = raw_poly.degree // 2 if even else 0
         try:
             p = prime_power_decompose(q).p
         except NotPrimePower:
             p = None
-        if raw_poly.degree < 2 or raw_poly.degree % 2 != 0:
-            return ClassificationReport(
-                tuple=None,
-                g=0,
-                q=q,
-                p=p,
-                poly=raw_poly,
-                is_q_polynomial=False,
-                method="shape",
-                symmetry_fail_index=-1,
-                timings_ms=timings,
-            )
-        g = raw_poly.degree // 2
+    report = ClassificationReport(
+        tuple=tup, g=g, q=q, p=p, poly=raw_poly, is_q_polynomial=False, method="exact", timings_ms=timings
+    )
+
+    if tup is not None:
+        try:
+            qpoly = clock("construct", lambda: construct(tup))
+        except InvalidTuple as exc:
+            report.method, report.failed_preconditions = "invalid_tuple", list(exc.failures)
+            return report
+        report.poly = raw_poly = qpoly.poly
+    elif g == 0:
+        report.method, report.symmetry_fail_index = "shape", -1
+        return report
+    else:
         try:
             qpoly = check_q_symmetry(raw_poly, g, q)
         except ShapeMismatch as exc:
-            return ClassificationReport(
-                tuple=None,
-                g=g,
-                q=q,
-                p=p,
-                poly=raw_poly,
-                is_q_polynomial=False,
-                method="shape",
-                symmetry_fail_index=exc.index,
-                timings_ms=timings,
-            )
-
-    report = ClassificationReport(
-        tuple=tup,
-        g=g,
-        q=q,
-        p=p,
-        poly=raw_poly,
-        is_q_polynomial=False,
-        method="exact",
-        timings_ms=timings,
-    )
+            report.method, report.symmetry_fail_index = "shape", exc.index
+            return report
 
     modulus = clock("exact_modulus", lambda: analysis.exact_modulus_check(qpoly))
     report.is_q_polynomial = modulus.passed
@@ -430,10 +388,7 @@ def classify(
         )
 
     if options.with_numeric:
-        rr = clock(
-            "numeric",
-            lambda: analysis.numeric_roots(raw_poly, options.precision_bits, q=q),
-        )
+        rr = clock("numeric", lambda: analysis.numeric_roots(raw_poly, q=q))
         report.max_modulus_deviation = rr.max_modulus_deviation
 
     return report
@@ -489,21 +444,34 @@ def search(
     options: ClassifyOptions = ClassifyOptions(),
     workers: int = 1,
 ) -> Iterator[ClassificationReport]:
-    """Validate, construct, and classify every tuple in the range.
+    """Construct and classify every valid tuple in the range.
 
-    Invalid tuples are skipped; one worker validates each tuple as the stream
-    reaches it.  Output order is the lexicographic candidate order regardless
-    of worker count.
+    classify validates each candidate once, and an invalid one yields no
+    report.  Tuples are classified as the stream reaches them; several
+    workers keep at most SEARCH_WINDOW_PER_WORKER tuples each in flight.
+    Output order is the lexicographic candidate order regardless of worker
+    count.
     """
-    valid = (t for t in rng.candidate_tuples() if tuple_is_valid(t))
-    if workers <= 1:
-        for t in valid:
+    for rep in _classify_stream(rng.candidate_tuples(), options, workers):
+        if rep.method != "invalid_tuple":
+            yield rep
+
+
+def _classify_stream(
+    tuples: Iterator[ParamTuple], options: ClassifyOptions, workers: int
+) -> Iterator[ClassificationReport]:
+    if workers == 1:
+        for t in tuples:
             yield classify(t, options)
         return
     from concurrent.futures import ProcessPoolExecutor  # only sweeps with workers load it
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(functools.partial(classify, options=options), valid, chunksize=1)
+        window = itertools.islice(tuples, SEARCH_WINDOW_PER_WORKER * workers)
+        pending = deque(pool.submit(classify, t, options) for t in window)
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(pool.submit(classify, t, options) for t in itertools.islice(tuples, 1))
 
 
 def search_summary(reports: Iterable[ClassificationReport]) -> dict:

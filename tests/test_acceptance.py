@@ -26,7 +26,7 @@ from weilpoly.engine import (
     classify,
     construct,
     modular_irreducibility_certificate,
-    tuple_is_valid,
+    validate_tuple,
 )
 from weilpoly.intpoly import (
     IntPoly,
@@ -47,7 +47,7 @@ def sweep_tuples():
     """rho in {5,7}, b in {1,2}, r the least prime primitive root mod rho^2,
     prime powers q <= 64 with q = 1 mod r, m in {0, 1, m_max}."""
     rng = SearchRange(rhos=(5, 7), bs=(1, 2), rs=None, q_max=64, m_policy="corners")
-    tuples = [t for t in rng.candidate_tuples() if tuple_is_valid(t)]
+    tuples = [t for t in rng.candidate_tuples() if all(c.passed for c in validate_tuple(t))]
     assert tuples
     return tuples
 

@@ -30,6 +30,15 @@ class TestConstruct:
         assert code == 2
         assert "q = 1 mod r" in out
 
+    def test_over_the_degree_cap_exit_2(self, capsys):
+        # 2g = 5^3 * 4 = 500 > 256; every other precondition holds
+        code, out, _ = run(
+            capsys, "construct", "--rho", "5", "--b", "4", "--r", "2",
+            "--p", "11", "--n", "1", "--m", "0",
+        )
+        assert code == 2
+        assert "degree cap" in out and "poly" not in out
+
     def test_nonprime_rho_exit_1(self, capsys):
         code, _, err = run(
             capsys, "construct", "--rho", "4", "--b", "1", "--r", "2",
@@ -93,6 +102,22 @@ class TestSearch:
         assert out_path.read_text() == ""
         assert "tuples=0" in out
 
+    def test_tuples_over_the_degree_cap_are_skipped(self, capsys, tmp_path):
+        out_path = tmp_path / "capped.jsonl"
+        code, out, _ = run(
+            capsys, "search", "--rho", "5", "--b", "4", "--q-max", "12",
+            "--no-timings", "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text() == ""
+        assert "tuples=0" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, capsys, workers):
+        code, out, err = run(capsys, "search", "--rho", "5", "--q-max", "9", "--workers", workers)
+        assert code == 1 and out == ""
+        assert "--workers" in err
+
     def test_csv_jsonl_parity(self, capsys, tmp_path):
         jl, cv = tmp_path / "x.jsonl", tmp_path / "x.csv"
         summaries = [
@@ -152,41 +177,13 @@ class TestReport:
         code, _, _ = run(capsys, "report", "--in", str(path))
         assert code == 1
 
-
-class TestEnvPrecision:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("WEILPOLY_PRECISION_BITS", "192")
-        from weilpoly.cli import _default_precision
-
-        assert _default_precision() == 192
-
-    def test_env_garbage_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("WEILPOLY_PRECISION_BITS", "lots")
-        code, _, err = run(capsys, "verify", "--poly", "25,5,1,1,1", "--q", "5")
-        assert code == 1
-        assert "WEILPOLY_PRECISION_BITS" in err and "lots" in err
-
-
-CLASSIFY_COMMANDS = {
-    "construct": ["--rho", "5", "--b", "1", "--r", "2", "--p", "5", "--n", "1", "--m", "0"],
-    "verify": ["--poly", "25,5,1,1,1", "--q", "5"],
-    "search": ["--rho", "5", "--q-max", "9", "--no-timings"],
-}
-
-
-@pytest.mark.parametrize("command", sorted(CLASSIFY_COMMANDS))
-class TestPrecisionRange:
-    def test_flag_below_floor_exit_1(self, capsys, command):
-        code, out, err = run(capsys, command, *CLASSIFY_COMMANDS[command],
-                             "--numeric", "--precision-bits", "32")
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"tuple": 5}'])
+    def test_non_object_row_exit_1(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"tuple": null}\n\n' + line + "\n")
+        code, out, err = run(capsys, "report", "--in", str(path))
         assert code == 1 and out == ""
-        assert "--precision-bits" in err and ">= 64" in err
-
-    def test_env_below_floor_exit_1(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("WEILPOLY_PRECISION_BITS", "32")
-        code, out, err = run(capsys, command, *CLASSIFY_COMMANDS[command], "--numeric")
-        assert code == 1 and out == ""
-        assert "WEILPOLY_PRECISION_BITS" in err and ">= 64" in err
+        assert "line 3" in err
 
 
 def test_usage_error_exit_1(capsys):

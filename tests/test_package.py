@@ -1,6 +1,7 @@
 """Tooling checks on the package source and the benchmark's tracer."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -8,6 +9,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from weilpoly.engine import ClassifyOptions
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "weilpoly"
@@ -22,6 +25,23 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_src_reads_no_environment():
+    # every setting is an explicit option, so no module reads os.environ or os.getenv
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv")
+    ]
+    assert found == []
+
+
+def test_classify_options_is_the_numeric_switch():
+    # the numeric oracle chooses its own precision from the coefficients
+    assert [f.name for f in dataclasses.fields(ClassifyOptions)] == ["with_numeric"]
 
 
 def test_traced_names_resolve():
