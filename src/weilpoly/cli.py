@@ -82,7 +82,7 @@ def cmd_construct(args) -> int:
         for c in failed:
             print(f"  - {c.name} ({c.detail})")
         return EXIT_INVALID_TUPLE
-    rep = classify(t, _options_from(args))
+    rep = classify(t, _options_from(args), checks)
     _print_report(rep)
     return EXIT_OK
 

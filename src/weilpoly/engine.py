@@ -107,15 +107,8 @@ def validate_tuple(t: ParamTuple) -> list[PreconditionCheck]:
 
     r_prime = is_prime(t.r)
     checks.append(PreconditionCheck("r prime", r_prime, f"r={t.r}"))
-    if rho_ok:
-        prim = is_primitive_root_mod(t.r, t.rho ** 2)
-    else:
-        prim = False
-    checks.append(
-        PreconditionCheck(
-            "r primitive root mod rho^2", r_prime and prim, f"r={t.r}, rho^2={t.rho ** 2}"
-        )
-    )
+    prim = rho_ok and r_prime and is_primitive_root_mod(t.r, t.rho ** 2)
+    checks.append(PreconditionCheck("r primitive root mod rho^2", prim, f"r={t.r}, rho^2={t.rho ** 2}"))
 
     p_prime = is_prime(t.p)
     checks.append(PreconditionCheck("p prime", p_prime, f"p={t.p}"))
@@ -126,14 +119,17 @@ def validate_tuple(t: ParamTuple) -> list[PreconditionCheck]:
     q_cong = t.r >= 2 and q % t.r == 1
     checks.append(PreconditionCheck("q = 1 mod r", q_cong, f"q={q}, r={t.r}"))
 
-    if t.b >= 1 and q >= 2 and t.r >= 2:
-        bound = m_max(q, t.rho ** (t.b - 1), t.r) if rho_ok else None
-    else:
-        bound = None
+    # the caps keep the exact algebra tractable; they are decided before
+    # m_max, which computes q^d
+    d = t.rho ** (t.b - 1) if t.b >= 1 else 0
+    caps = [
+        PreconditionCheck("degree cap", d * (t.rho - 1) <= MAX_TWO_G, f"2g={d * (t.rho - 1)}, cap={MAX_TWO_G}"),
+        PreconditionCheck("field size cap", q <= MAX_Q, f"q={q}, cap={MAX_Q}"),
+    ]
+    in_caps = all(c.passed for c in caps)
+    bound = m_max(q, d, t.r) if in_caps and rho_ok and t.b >= 1 and q >= 2 and t.r >= 2 else None
     m_ok = bound is not None and 0 <= t.m <= bound
-    checks.append(
-        PreconditionCheck("0 <= m <= m_max", m_ok, f"m={t.m}, m_max={bound}")
-    )
+    checks.append(PreconditionCheck("0 <= m <= m_max", m_ok, f"m={t.m}, m_max={bound}"))
 
     if p_prime and t.r % t.p != 0:
         forbidden = (-mod_inverse(t.r, t.p)) % t.p
@@ -143,17 +139,15 @@ def validate_tuple(t: ParamTuple) -> list[PreconditionCheck]:
         cong_ok = False
         detail = "r not invertible mod p"
     checks.append(PreconditionCheck("m != -1/r mod p", cong_ok, detail))
-
-    # the caps keep the downstream exact algebra tractable
-    two_g = t.rho ** (t.b - 1) * (t.rho - 1) if t.b >= 1 else 0
-    checks.append(PreconditionCheck("degree cap", two_g <= MAX_TWO_G, f"2g={two_g}, cap={MAX_TWO_G}"))
-    checks.append(PreconditionCheck("field size cap", q <= MAX_Q, f"q={q}, cap={MAX_Q}"))
-    return checks
+    return checks + caps
 
 
-def construct(t: ParamTuple) -> QPolynomial:
-    """Build the parametrized polynomial; raises InvalidTuple on bad input."""
-    failures = [c.name for c in validate_tuple(t) if not c.passed]
+def construct(t: ParamTuple, checks: list[PreconditionCheck] | None = None) -> QPolynomial:
+    """Build the parametrized polynomial; raises InvalidTuple on bad input.
+
+    `checks` is validate_tuple(t) when the caller has already made it.
+    """
+    failures = [c.name for c in (validate_tuple(t) if checks is None else checks) if not c.passed]
     if failures:
         raise InvalidTuple(f"invalid tuple {t}: {', '.join(failures)}", failures)
     g, q, d = t.g, t.q, t.dpow
@@ -313,8 +307,10 @@ def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, i
 def classify(
     source: ParamTuple | tuple[IntPoly, int],
     options: ClassifyOptions = ClassifyOptions(),
+    checks: list[PreconditionCheck] | None = None,
 ) -> ClassificationReport:
-    """Run the full certificate chain on a parameter tuple or an (f, q) pair."""
+    """Run the full certificate chain on a parameter tuple or an (f, q) pair;
+    `checks` is validate_tuple(source) when the caller has already made it."""
     timings: dict[str, float] = {}
 
     def clock(name, fn):
@@ -341,7 +337,7 @@ def classify(
 
     if tup is not None:
         try:
-            qpoly = clock("construct", lambda: construct(tup))
+            qpoly = clock("construct", lambda: construct(tup, checks))
         except InvalidTuple as exc:
             report.method, report.failed_preconditions = "invalid_tuple", list(exc.failures)
             return report
@@ -446,32 +442,32 @@ def search(
 ) -> Iterator[ClassificationReport]:
     """Construct and classify every valid tuple in the range.
 
-    classify validates each candidate once, and an invalid one yields no
-    report.  Tuples are classified as the stream reaches them; several
-    workers keep at most SEARCH_WINDOW_PER_WORKER tuples each in flight.
-    Output order is the lexicographic candidate order regardless of worker
-    count.
+    Each candidate is validated once, as the stream reaches it; an invalid one
+    is never classified and yields no report.  Several workers keep at most
+    SEARCH_WINDOW_PER_WORKER candidates each in flight.  Output order is the
+    lexicographic candidate order regardless of worker count.
     """
-    for rep in _classify_stream(rng.candidate_tuples(), options, workers):
-        if rep.method != "invalid_tuple":
-            yield rep
-
-
-def _classify_stream(
-    tuples: Iterator[ParamTuple], options: ClassifyOptions, workers: int
-) -> Iterator[ClassificationReport]:
+    tuples = rng.candidate_tuples()
     if workers == 1:
-        for t in tuples:
-            yield classify(t, options)
+        reports = map(_classify_if_valid, tuples, itertools.repeat(options))
+        yield from (rep for rep in reports if rep is not None)
         return
     from concurrent.futures import ProcessPoolExecutor  # only sweeps with workers load it
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = itertools.islice(tuples, SEARCH_WINDOW_PER_WORKER * workers)
-        pending = deque(pool.submit(classify, t, options) for t in window)
+        pending = deque(pool.submit(_classify_if_valid, t, options) for t in window)
         while pending:
-            yield pending.popleft().result()
-            pending.extend(pool.submit(classify, t, options) for t in itertools.islice(tuples, 1))
+            rep = pending.popleft().result()
+            if rep is not None:
+                yield rep
+            pending.extend(pool.submit(_classify_if_valid, t, options) for t in itertools.islice(tuples, 1))
+
+
+def _classify_if_valid(t: ParamTuple, options: ClassifyOptions) -> ClassificationReport | None:
+    """classify(t), or None for an invalid t; validates t once."""
+    checks = validate_tuple(t)
+    return classify(t, options, checks) if all(c.passed for c in checks) else None
 
 
 def search_summary(reports: Iterable[ClassificationReport]) -> dict:

@@ -39,6 +39,15 @@ class TestConstruct:
         assert code == 2
         assert "degree cap" in out and "poly" not in out
 
+    def test_large_b_refused_before_m_max(self, capsys):
+        # 2g = 5^10 * 4; m_max would compute 11^(5^10), so the caps come first
+        code, out, _ = run(
+            capsys, "construct", "--rho", "5", "--b", "11", "--r", "2",
+            "--p", "11", "--n", "1", "--m", "0",
+        )
+        assert code == 2
+        assert "degree cap" in out and "m_max=None" in out
+
     def test_nonprime_rho_exit_1(self, capsys):
         code, _, err = run(
             capsys, "construct", "--rho", "4", "--b", "1", "--r", "2",

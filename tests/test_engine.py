@@ -303,6 +303,17 @@ class TestSearch:
         next(search(SearchRange(rhos=(5, 7), bs=(1, 2), q_max=1024)))
         assert len(validated) == 1
 
+    def test_invalid_candidates_are_not_classified(self, monkeypatch):
+        # b = 4 is over the degree cap: each candidate is validated once and
+        # none is classified, so classify calls equal the reports made
+        rng = SearchRange(rhos=(5,), bs=(4,), q_max=12)
+        validated, classified = [], []
+        validate, classify = engine.validate_tuple, engine.classify
+        monkeypatch.setattr(engine, "validate_tuple", lambda t: validated.append(t) or validate(t))
+        monkeypatch.setattr(engine, "classify", lambda *a: classified.append(a) or classify(*a))
+        assert list(search(rng)) == []
+        assert validated == list(rng.candidate_tuples()) != [] and classified == []
+
     def test_workers_keep_a_bounded_window(self, monkeypatch):
         # several workers draw one window of tuples before the first report,
         # not the whole grid (563 candidates here)
