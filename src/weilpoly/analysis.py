@@ -19,17 +19,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .errors import (
-    EndpointRoot,
-    NoConvergence,
-    NotSquarefree,
-    NotSymmetric,
-    WeilPolyError,
-    ZeroPolynomial,
-)
+from .errors import WeilPolyError
 from .intpoly import IntPoly, QPolynomial, pseudo_remainder
-from .numtheory import integer_sqrt
 from .surd import QuadSurd
 
 
@@ -60,7 +53,7 @@ def _dickson_basis(k: int, q: int) -> IntPoly:
 def real_weil_transform(f: QPolynomial) -> IntPoly:
     """The degree-g polynomial h with f(t) = t^g * h(t + q/t), exactly."""
     if not isinstance(f, QPolynomial):
-        raise NotSymmetric("expected a checked QPolynomial; run check_q_symmetry first")
+        raise ValueError("expected a checked QPolynomial; run check_q_symmetry first")
     g, q = f.g, f.q
     h = _dickson_basis(g, q)
     for j in range(1, g):
@@ -81,7 +74,7 @@ def sturm_chain(h: IntPoly) -> list[IntPoly]:
     is constant exactly when h is squarefree.
     """
     if h.is_zero():
-        raise ZeroPolynomial("Sturm chain of zero polynomial")
+        raise ValueError("Sturm chain of zero polynomial")
     chain = [h]
     if h.degree >= 1:
         chain.append(h.derivative())
@@ -135,7 +128,7 @@ def _sign_at(p: IntPoly, point) -> int:
 def _variations(chain: list[IntPoly], point) -> int:
     signs = [_sign_at(p, point) for p in chain]
     if signs[0] == 0:
-        raise EndpointRoot("h vanishes at an interval endpoint")
+        raise ValueError("h vanishes at an interval endpoint")
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
@@ -144,11 +137,11 @@ def count_between(chain: list[IntPoly], lo, hi) -> int:
     """Number of distinct real roots in (lo, hi] of h = chain[0], where chain
     is sturm_chain(h) and lo < hi are QuadSurds, Fractions or +/- infinity.
 
-    Raises NotSquarefree if h is not squarefree (the chain ends in a
-    nonconstant gcd(h, h')), and EndpointRoot if h vanishes at lo or hi.
+    Raises ValueError if h is not squarefree (the chain ends in a
+    nonconstant gcd(h, h')), or if h vanishes at lo or hi.
     """
     if chain[-1].degree > 0:
-        raise NotSquarefree("input must be squarefree")
+        raise ValueError("input must be squarefree")
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -177,7 +170,7 @@ def _isolate_root_above(chain: list[IntPoly], q: int, above: int) -> tuple[Fract
     # above the band once k >= bits
     k = 1
     while True:
-        z = Fraction(integer_sqrt(4 * q * 4 ** k) + 1, 2 ** k)
+        z = Fraction(isqrt(4 * q * 4 ** k) + 1, 2 ** k)
         if _sign_at(h, z) == 0:
             return z, z
         if count_between(chain, z, POS_INF) == above:
@@ -226,7 +219,7 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
     h0 = h
     if chain[-1].degree > 0:
         h0 = h.divmod(chain[-1].primitive())[0]
-    s = integer_sqrt(q)
+    s = isqrt(q)
     if s * s == q:
         for root in (2 * s, -2 * s):
             lin = IntPoly((-root, 1))
@@ -302,9 +295,9 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
     mpmath is imported here, so only the numeric oracle loads it.  Residuals
     are certified: every root z must have relative backward error
     |f(z)| / sum_i |f_i| |z|^i below 2^(-precision_bits/2), else the working
-    precision is raised and the iteration retried; NoConvergence is raised
-    (with partial results) after the retry cap.  When q is supplied the
-    report carries | |z| - sqrt(q) | / sqrt(q) for every root.
+    precision is raised and the iteration retried; WeilPolyError is raised
+    after the retry cap.  When q is supplied the report carries
+    | |z| - sqrt(q) | / sqrt(q) for every root.
     """
     import mpmath
 
@@ -318,7 +311,6 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
     work = max(precision_bits, maxbit + 32) + 32
     coeffs_desc = list(reversed(f.coeffs))
     threshold_exp = -(precision_bits // 2)
-    last_roots = None
     for attempt in range(4):
         with mpmath.workprec(work):
             try:
@@ -328,7 +320,6 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
             except mpmath.libmp.NoConvergence:
                 work *= 2
                 continue
-            last_roots = roots
             ok = True
             for z in roots:
                 num = abs(mpmath.polyval(coeffs_desc, z))
@@ -351,7 +342,4 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
                     precision_bits=precision_bits,
                 )
         work *= 2
-    raise NoConvergence(
-        "root iteration failed residual certification",
-        partial=[complex(z) for z in (last_roots or [])],
-    )
+    raise WeilPolyError("root iteration failed residual certification")

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import Iterable
 
 from .engine import (
     CSV_FIELDS,
@@ -62,17 +63,30 @@ def _options_from(args) -> ClassifyOptions:
     return ClassifyOptions(with_numeric=args.numeric)
 
 
+# the rule each integer flag of construct, and each entry of a search list, obeys
+_FLAG_RULES = {
+    "rho": (lambda v: v >= 5 and is_prime(v), "a prime >= 5"),
+    "b": (lambda v: v >= 1, ">= 1"),
+    "r": (is_prime, "prime"),
+    "p": (is_prime, "prime"),
+    "n": (lambda v: v >= 1, ">= 1"),
+    "m": (lambda v: v >= 0, ">= 0"),
+}
+
+
+def _bad_flags(flags: dict[str, Iterable[int]]) -> bool:
+    """True, after an error message, if some value breaks its flag's rule."""
+    for name, values in flags.items():
+        ok, rule = _FLAG_RULES[name]
+        bad = [v for v in values if not ok(v)]
+        if bad:
+            print(f"error: --{name} must be {rule} (got {bad[0]})", file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_construct(args) -> int:
-    for name in ("rho", "r", "p"):
-        value = getattr(args, name)
-        if not is_prime(value):
-            print(f"error: --{name} must be prime (got {value})", file=sys.stderr)
-            return EXIT_USAGE
-    if args.rho < 5:
-        print(f"error: --rho must be >= 5 (got {args.rho})", file=sys.stderr)
-        return EXIT_USAGE
-    if args.b < 1 or args.n < 1 or args.m < 0:
-        print("error: need --b >= 1, --n >= 1, --m >= 0", file=sys.stderr)
+    if _bad_flags({name: [getattr(args, name)] for name in _FLAG_RULES}):
         return EXIT_USAGE
     t = ParamTuple(rho=args.rho, b=args.b, r=args.r, p=args.p, n=args.n, m=args.m)
     checks = validate_tuple(t)
@@ -118,6 +132,8 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: bad range: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if _bad_flags({"rho": rhos, "b": bs, "r": rs or ()}):
+        return EXIT_USAGE
     if args.m_policy not in ("corners", "all"):
         print("error: --m-policy must be corners or all", file=sys.stderr)
         return EXIT_USAGE
@@ -157,6 +173,20 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _row_error(row) -> str | None:
+    """What makes a row unfit for cmd_report, or None."""
+    if not isinstance(row, dict):
+        return "not a report object"
+    t = row.get("tuple")
+    if t is not None and not (isinstance(t, dict) and all(type(v) is int for v in t.values())):
+        return "tuple is neither null nor an object of integers"
+    if type(row.get("max_modulus_deviation")) not in (int, float, type(None)):
+        return "max_modulus_deviation is neither null nor a number"
+    if not isinstance(row.get("absolutely_simple") or "", str):
+        return "absolutely_simple is neither null nor a string"
+    return None
+
+
 def _load_jsonl(path: str) -> list[dict]:
     """The report objects of a JSONL file; ValueError names a bad line."""
     rows = []
@@ -168,8 +198,9 @@ def _load_jsonl(path: str) -> list[dict]:
                 row = json.loads(line)
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from None
-            if not isinstance(row, dict) or not isinstance(row.get("tuple") or {}, dict):
-                raise ValueError(f"line {number}: not a report object with an object or null tuple")
+            error = _row_error(row)
+            if error:
+                raise ValueError(f"line {number}: {error}")
             rows.append(row)
     return rows
 

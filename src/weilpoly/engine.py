@@ -33,7 +33,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from . import analysis
-from .errors import InvalidTuple, NotPrimePower, ShapeMismatch, WrongDimension
+from .errors import InvalidTuple, NotPrimePower, ShapeMismatch
 from .intpoly import (
     IntPoly,
     QPolynomial,
@@ -47,7 +47,6 @@ from .numtheory import (
     is_prime,
     is_primitive_root_mod,
     least_prime_primitive_root,
-    mod_inverse,
     prime_power_decompose,
     primes_first,
 )
@@ -97,6 +96,24 @@ class PreconditionCheck:
     detail: str = ""
 
 
+def _capped_power(base: int, e: int, cap: int) -> int | None:
+    """base^e for e >= 0, or None when |base^e| > cap, decided before a power
+    past the cap is taken: |base| >= 2 gives |base^e| >= 2^e."""
+    if abs(base) >= 2 and e >= cap.bit_length():
+        return None
+    power = base ** e
+    return power if abs(power) <= cap else None
+
+
+def _degree_cap(rho: int, b: int) -> tuple[PreconditionCheck, int | None]:
+    """The check 2g <= MAX_TWO_G, and d = rho^(b-1) (0 for b < 1) or None when
+    it fails; validate_tuple and SearchRange both decide the cap here."""
+    d = _capped_power(rho, b - 1, MAX_TWO_G) if b >= 1 else 0
+    two_g = f"{rho}^{b - 1}*{rho - 1}" if d is None else d * (rho - 1)
+    passed = d is not None and two_g <= MAX_TWO_G
+    return PreconditionCheck("degree cap", passed, f"2g={two_g}, cap={MAX_TWO_G}"), d if passed else None
+
+
 def validate_tuple(t: ParamTuple) -> list[PreconditionCheck]:
     """Check every construction precondition independently; failures are data."""
     checks: list[PreconditionCheck] = []
@@ -114,32 +131,32 @@ def validate_tuple(t: ParamTuple) -> list[PreconditionCheck]:
     checks.append(PreconditionCheck("p prime", p_prime, f"p={t.p}"))
     checks.append(PreconditionCheck("n >= 1", t.n >= 1, f"n={t.n}"))
 
-    q = t.p ** t.n if t.n >= 1 else 0
-    checks.append(PreconditionCheck("q >= 4", q >= 4, f"q={q}"))
-    q_cong = t.r >= 2 and q % t.r == 1
-    checks.append(PreconditionCheck("q = 1 mod r", q_cong, f"q={q}, r={t.r}"))
+    # q = p^n only under the field size cap; None: |q| > MAX_Q, so q >= 4 unless q < 0
+    q = _capped_power(t.p, t.n, MAX_Q) if t.n >= 1 else 0
+    q_text = f"{t.p}^{t.n}" if q is None else q
+    q_ok = (t.p > 0 or t.n % 2 == 0) if q is None else q >= 4
+    checks.append(PreconditionCheck("q >= 4", q_ok, f"q={q_text}"))
+    q_cong = t.r >= 2 and (pow(t.p, t.n, t.r) if q is None else q % t.r) == 1
+    checks.append(PreconditionCheck("q = 1 mod r", q_cong, f"q={q_text}, r={t.r}"))
 
     # the caps keep the exact algebra tractable; they are decided before
     # m_max, which computes q^d
-    d = t.rho ** (t.b - 1) if t.b >= 1 else 0
-    caps = [
-        PreconditionCheck("degree cap", d * (t.rho - 1) <= MAX_TWO_G, f"2g={d * (t.rho - 1)}, cap={MAX_TWO_G}"),
-        PreconditionCheck("field size cap", q <= MAX_Q, f"q={q}, cap={MAX_Q}"),
-    ]
-    in_caps = all(c.passed for c in caps)
+    degree, d = _degree_cap(t.rho, t.b)
+    field = PreconditionCheck("field size cap", q is not None, f"q={q_text}, cap={MAX_Q}")
+    in_caps = degree.passed and field.passed
     bound = m_max(q, d, t.r) if in_caps and rho_ok and t.b >= 1 and q >= 2 and t.r >= 2 else None
     m_ok = bound is not None and 0 <= t.m <= bound
     checks.append(PreconditionCheck("0 <= m <= m_max", m_ok, f"m={t.m}, m_max={bound}"))
 
     if p_prime and t.r % t.p != 0:
-        forbidden = (-mod_inverse(t.r, t.p)) % t.p
+        forbidden = -pow(t.r, -1, t.p) % t.p
         cong_ok = t.m % t.p != forbidden
         detail = f"-1/r = {forbidden} mod {t.p}"
     else:
         cong_ok = False
         detail = "r not invertible mod p"
     checks.append(PreconditionCheck("m != -1/r mod p", cong_ok, detail))
-    return checks + caps
+    return checks + [degree, field]
 
 
 def construct(t: ParamTuple, checks: list[PreconditionCheck] | None = None) -> QPolynomial:
@@ -203,7 +220,7 @@ def absolutely_simple_g2(f: QPolynomial) -> bool:
     """Dimension-2 test: a simple ordinary abelian surface is absolutely
     simple iff a_1^2 is not in {0, q + a_2, 2*a_2, 3*a_2 - 3*q}."""
     if f.g != 2:
-        raise WrongDimension(f"g = {f.g}, need 2")
+        raise ValueError(f"g = {f.g}, need 2")
     a1, a2, q = f.a(1), f.a(2), f.q
     return a1 * a1 not in {0, q + a2, 2 * a2, 3 * a2 - 3 * q}
 
@@ -415,9 +432,9 @@ class SearchRange:
             else:
                 r_list = sorted(self.rs)
             for b in sorted(self.bs):
-                if b < 1:
+                d = _degree_cap(rho, b)[1]
+                if b < 1 or d is None:
                     continue
-                d = rho ** (b - 1)
                 for r in r_list:
                     for q in range(max(self.q_min, 4), self.q_max + 1):
                         if q % r != 1:

@@ -1,28 +1,12 @@
-"""Exception types shared across the package."""
+"""The exception types a caller catches; a broken precondition raises ValueError."""
 
 
 class WeilPolyError(Exception):
     """Base class for all package-specific errors."""
 
 
-# -- number theory --------------------------------------------------------
-
 class NotPrimePower(WeilPolyError):
     """The integer is not of the form p^n with p prime."""
-
-
-class NotCoprime(WeilPolyError):
-    """gcd(r, n) > 1 where coprimality was required."""
-
-
-class NotInvertible(WeilPolyError):
-    """No inverse exists modulo the given modulus."""
-
-
-# -- integer polynomials ---------------------------------------------------
-
-class ZeroPolynomial(WeilPolyError):
-    """Operation undefined for the zero polynomial."""
 
 
 class ShapeMismatch(WeilPolyError):
@@ -36,43 +20,6 @@ class ShapeMismatch(WeilPolyError):
         super().__init__(message)
         self.index = index
 
-
-# -- polynomials over prime fields -----------------------------------------
-
-class ModulusMismatch(WeilPolyError):
-    """Operands live over different prime fields."""
-
-
-class NotSquarefree(WeilPolyError):
-    """A squarefree polynomial was required."""
-
-
-# -- root analysis ----------------------------------------------------------
-
-class NotSymmetric(WeilPolyError):
-    """Input polynomial lacks the required (g, q) symmetry."""
-
-
-class EndpointRoot(WeilPolyError):
-    """The polynomial vanishes at an interval endpoint of a Sturm count."""
-
-
-class WrongDimension(WeilPolyError):
-    """Operation requires a specific dimension g."""
-
-
-class NoConvergence(WeilPolyError):
-    """Numeric root iteration failed to certify within the iteration cap.
-
-    Carries ``partial``, the best root approximations found.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-# -- engine ------------------------------------------------------------------
 
 class InvalidTuple(WeilPolyError):
     """Parameter tuple violates one or more construction preconditions.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch, WeilPolyError, ZeroPolynomial
+from .errors import ShapeMismatch, WeilPolyError
 
 
 class IntPoly:
@@ -181,7 +181,7 @@ class IntPoly:
         """Quotient and remainder over Z.  Raises ValueError when a quotient
         coefficient is not an integer, which a monic divisor never causes."""
         if divisor.is_zero():
-            raise ZeroPolynomial("division by zero polynomial")
+            raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         d = divisor.degree
         lc = divisor.lc
@@ -208,7 +208,7 @@ class IntPoly:
 def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
     """prem(a, b): remainder of lc(b)^(deg a - deg b + 1) * a divided by b."""
     if b.is_zero():
-        raise ZeroPolynomial("pseudo-division by zero")
+        raise ZeroDivisionError("pseudo-division by zero")
     da, db = a.degree, b.degree
     if a.is_zero() or da < db:
         return a
@@ -253,7 +253,7 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     factors of f.
     """
     if f.is_zero():
-        raise ZeroPolynomial("radical of zero polynomial")
+        raise ValueError("radical of zero polynomial")
     if f.degree == 0:
         return IntPoly.one()
     d = poly_gcd(f, f.derivative())

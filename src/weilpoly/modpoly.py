@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import ModulusMismatch
 from .intpoly import IntPoly, reduce_mod
 
 
@@ -62,7 +61,7 @@ class ModPoly:
 
     def _check(self, other: "ModPoly") -> None:
         if self.r != other.r:
-            raise ModulusMismatch(f"moduli differ: {self.r} vs {other.r}")
+            raise ValueError(f"moduli differ: {self.r} vs {other.r}")
 
     def __add__(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
@@ -128,7 +127,7 @@ class ModPoly:
 def ff_gcd(a: ModPoly, b: ModPoly) -> ModPoly:
     """Monic gcd over F_r."""
     if a.r != b.r:
-        raise ModulusMismatch(f"moduli differ: {a.r} vs {b.r}")
+        raise ValueError(f"moduli differ: {a.r} vs {b.r}")
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import NotCoprime, NotInvertible, NotPrimePower
+from .errors import NotPrimePower
 
 # Witnesses proven sufficient for all n < 3_317_044_064_679_887_385_961_981,
 # which comfortably covers the 64-bit range.
@@ -63,23 +63,6 @@ class PrimePower:
 
     p: int
     n: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrimePower(f"{self.p} is not prime")
-        if self.n < 1:
-            raise NotPrimePower(f"exponent {self.n} < 1")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.n
-
-
-def integer_sqrt(n: int) -> int:
-    """floor(sqrt(n)) for n >= 0."""
-    if n < 0:
-        raise ValueError("integer_sqrt of negative number")
-    return math.isqrt(n)
 
 
 def _int_nth_root(x: int, n: int) -> int:
@@ -151,7 +134,7 @@ def multiplicative_order(r: int, n: int) -> int:
         raise ValueError("multiplicative_order expects n >= 2")
     r %= n
     if math.gcd(r, n) != 1:
-        raise NotCoprime(f"gcd({r}, {n}) > 1")
+        raise ValueError(f"gcd({r}, {n}) > 1")
     e = euler_phi(n)
     for p in factorize(e):
         while e % p == 0 and pow(r, e // p, n) == 1:
@@ -170,21 +153,12 @@ def is_primitive_root_mod(r: int, n: int) -> bool:
 
 def least_prime_primitive_root(n: int) -> int | None:
     """Smallest prime r that is a primitive root mod n, or None."""
-    phi = euler_phi(n)
     r = 2
     while r <= max(n, 3) * 2:
-        if is_prime(r) and math.gcd(r, n) == 1 and multiplicative_order(r, n) == phi:
+        if is_prime(r) and is_primitive_root_mod(r, n):
             return r
         r += 1
     return None
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """Inverse of a modulo p, in [0, p)."""
-    try:
-        return pow(a, -1, p)
-    except ValueError:
-        raise NotInvertible(f"{a} has no inverse mod {p}") from None
 
 
 def primes_first(k: int) -> list[int]:

@@ -8,9 +8,9 @@ read from a comparison of a^2 with b^2*D.  No floating point is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .intpoly import QPolynomial
-from .numtheory import integer_sqrt
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def m_max(q: int, dpow: int, r: int) -> int:
         raise ValueError("m_max expects q >= 2, dpow >= 1, r >= 2")
     qd = q ** dpow
     top = 2 * qd - 1
-    s = integer_sqrt(4 * qd)
+    s = isqrt(4 * qd)
     if s * s != 4 * qd:
         s += 1  # strict ceiling of 2*sqrt(q^dpow)
     if top < s:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from weilpoly.errors import NotSquarefree
 from weilpoly.intpoly import cyclotomic
 from weilpoly.modpoly import ModPoly, ff_gcd, powmod
 from weilpoly.numtheory import euler_phi, multiplicative_order
@@ -38,14 +37,14 @@ class DegreeProfile:
 def distinct_degree_profile(f: ModPoly) -> DegreeProfile:
     """Distinct-degree factorization profile of a squarefree polynomial.
 
-    Raises NotSquarefree on a polynomial with a repeated factor.  Iterates
+    Raises ValueError on a polynomial with a repeated factor.  Iterates
     gcd(f, x^(r^d) - x), which extracts the product of all irreducible
     factors of degree exactly d.
     """
     if f.degree < 1:
         raise ValueError("profile of a constant polynomial")
     if not is_squarefree(f):
-        raise NotSquarefree("distinct-degree profile requires a squarefree input")
+        raise ValueError("distinct-degree profile requires a squarefree input")
     v = f.monic()
     r = f.r
     x = ModPoly.x(r)

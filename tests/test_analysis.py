@@ -20,7 +20,7 @@ from weilpoly.analysis import (
     real_weil_transform,
     sturm_chain,
 )
-from weilpoly.errors import EndpointRoot, NotSquarefree, WeilPolyError
+from weilpoly.errors import WeilPolyError
 from weilpoly.intpoly import IntPoly, check_q_symmetry, squarefree_part
 from weilpoly.surd import QuadSurd
 
@@ -104,12 +104,12 @@ class TestSturmCounting:
 
     def test_endpoint_roots_reported(self):
         chain = sturm_chain(P(-1, 0, 1))
-        with pytest.raises(EndpointRoot):
+        with pytest.raises(ValueError, match="h vanishes at an interval endpoint"):
             count_between(chain, QuadSurd(1, -1, 0), QuadSurd(1, 1, 0))
 
     def test_not_squarefree(self):
         chain = sturm_chain(P(1, 2, 1))
-        with pytest.raises(NotSquarefree):
+        with pytest.raises(ValueError, match="input must be squarefree"):
             count_between(chain, QuadSurd(1, -5, 0), QuadSurd(1, 5, 0))
 
     def test_count_real_roots_fixture(self):
@@ -154,7 +154,7 @@ class TestSturmCounting:
         assert count_between(chain, NEG_INF, POS_INF) == len(roots)
         edge = QuadSurd(q, 0, 2)
         if 0 in signs:
-            with pytest.raises(EndpointRoot):
+            with pytest.raises(ValueError, match="h vanishes at an interval endpoint"):
                 count_between(chain, -edge, edge)
         else:
             assert count_between(chain, -edge, edge) == signs.count(-1)

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from weilpoly.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -47,6 +53,19 @@ class TestConstruct:
         )
         assert code == 2
         assert "degree cap" in out and "m_max=None" in out
+
+    def test_over_the_field_size_cap_exit_2(self, capsys):
+        # q = 11^5000 has more digits than int-to-str allows; it is never formed
+        code, out, _ = run(
+            capsys, "construct", "--rho", "5", "--b", "1", "--r", "2",
+            "--p", "11", "--n", "5000", "--m", "0",
+        )
+        assert code == 2
+        assert out == (
+            "invalid tuple; failed preconditions:\n"
+            "  - 0 <= m <= m_max (m=0, m_max=None)\n"
+            "  - field size cap (q=11^5000, cap=4294967296)\n"
+        )
 
     def test_nonprime_rho_exit_1(self, capsys):
         code, _, err = run(
@@ -121,6 +140,25 @@ class TestSearch:
         assert out_path.read_text() == ""
         assert "tuples=0" in out
 
+    def test_large_b_is_skipped_before_m_max(self, tmp_path):
+        # 2g = 5^10 * 4: the sweep decides the degree cap before computing
+        # m_max = q^(5^10), in its own process so that a hang fails the test
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "weilpoly.cli", "search", "--rho", "5", "--b", "11",
+             "--q-max", "12", "--no-timings"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0
+        assert out.stdout.startswith("tuples=0 ")
+
+    @pytest.mark.parametrize("flag, value", [("--r", "0"), ("--r", "4"), ("--rho", "4,5"), ("--b", "0,1")])
+    def test_malformed_range_exit_1(self, capsys, flag, value):
+        # construct's rule for each flag holds for every entry of a search list
+        code, out, err = run(capsys, "search", "--rho", "5", "--b", "1", "--q-max", "12", flag, value)
+        assert code == 1 and out == ""
+        assert f"error: {flag} must be" in err and f"(got {value.split(',')[0]})" in err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, capsys, workers):
         code, out, err = run(capsys, "search", "--rho", "5", "--q-max", "9", "--workers", workers)
@@ -193,6 +231,25 @@ class TestReport:
         code, out, err = run(capsys, "report", "--in", str(path))
         assert code == 1 and out == ""
         assert "line 3" in err
+
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param(
+                '{"tuple": null, "max_modulus_deviation": "x"}',
+                "max_modulus_deviation is neither null nor a number",
+                id="text-deviation",
+            ),
+            pytest.param('{"tuple": {"rho": [1]}}', "tuple is neither null nor an object of integers", id="list-rho"),
+        ],
+    )
+    def test_mistyped_field_exit_1(self, capsys, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, "report", "--in", str(path))
+        assert code == 1 and out == ""
+        assert f"line 1: {message}" in err
 
 
 def test_usage_error_exit_1(capsys):

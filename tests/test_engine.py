@@ -22,7 +22,7 @@ from weilpoly.engine import (
     search_summary,
     validate_tuple,
 )
-from weilpoly.errors import InvalidTuple, WrongDimension
+from weilpoly.errors import InvalidTuple
 from weilpoly.intpoly import (
     IntPoly,
     check_q_symmetry,
@@ -131,7 +131,7 @@ class TestCertificates:
         assert not absolutely_simple_g2(check_q_symmetry(P(25, 0, 2, 0, 1), 2, 5))
 
     def test_wrong_dimension(self):
-        with pytest.raises(WrongDimension):
+        with pytest.raises(ValueError, match="g = 3, need 2"):
             absolutely_simple_g2(check_q_symmetry(P(8, 4, 2, 5, 1, 1, 1), 3, 2))
 
     def test_power_test_witnesses(self):
@@ -304,9 +304,9 @@ class TestSearch:
         assert len(validated) == 1
 
     def test_invalid_candidates_are_not_classified(self, monkeypatch):
-        # b = 4 is over the degree cap: each candidate is validated once and
-        # none is classified, so classify calls equal the reports made
-        rng = SearchRange(rhos=(5,), bs=(4,), q_max=12)
+        # r = 7 is not a primitive root mod 25: each candidate is validated
+        # once and none is classified, so classify calls equal the reports made
+        rng = SearchRange(rhos=(5,), bs=(1,), rs=(7,), q_max=30)
         validated, classified = [], []
         validate, classify = engine.validate_tuple, engine.classify
         monkeypatch.setattr(engine, "validate_tuple", lambda t: validated.append(t) or validate(t))

@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weilpoly.errors import NotCoprime, NotInvertible, NotPrimePower
+from weilpoly.errors import NotPrimePower
 from weilpoly.numtheory import (
     euler_phi,
     factorize,
-    integer_sqrt,
     is_prime,
     is_primitive_root_mod,
     least_prime_primitive_root,
-    mod_inverse,
     multiplicative_order,
     prime_power_decompose,
     primes_first,
@@ -61,7 +59,7 @@ class TestPrimePower:
 
     def test_big_power(self):
         pp = prime_power_decompose(5 ** 20)
-        assert (pp.p, pp.n, pp.q) == (5, 20, 5 ** 20)
+        assert (pp.p, pp.n) == (5, 20)
 
     @given(st.integers(min_value=2, max_value=10 ** 6))
     def test_roundtrip(self, q):
@@ -94,7 +92,7 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(2, 5) == 4
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(ValueError, match=r"gcd\(10, 25\) > 1"):
             multiplicative_order(10, 25)
 
     @given(st.integers(min_value=2, max_value=500), st.integers(min_value=2, max_value=500))
@@ -123,31 +121,6 @@ class TestPrimitiveRoots:
             for e in (1, 2, 3):
                 n = rho ** e
                 assert _brute_order(r, n) == euler_phi(n)
-
-
-class TestModInverse:
-    def test_fixtures(self):
-        assert mod_inverse(2, 5) == 3
-        assert mod_inverse(3, 2) == 1
-        with pytest.raises(NotInvertible):
-            mod_inverse(5, 5)
-
-    @given(st.integers(min_value=1, max_value=10 ** 9))
-    def test_inverse_property(self, a):
-        p = 10 ** 9 + 7
-        assert a * mod_inverse(a, p) % p == 1
-
-
-class TestIntegerSqrt:
-    def test_fixtures(self):
-        assert integer_sqrt(25) == 5
-        assert integer_sqrt(24) == 4
-        assert integer_sqrt(0) == 0
-
-    @given(st.integers(min_value=0, max_value=2 ** 512))
-    def test_floor_property(self, n):
-        s = integer_sqrt(n)
-        assert s * s <= n < (s + 1) * (s + 1)
 
 
 def test_primes_first():

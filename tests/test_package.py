@@ -62,9 +62,8 @@ def test_traced_names_resolve():
 
 def test_every_definition_used_in_src():
     # src/ holds no code that only tests call: every top-level function and
-    # class is named somewhere in src/ outside its own definition (the
-    # package's __init__ re-exports do not count as a use)
-    texts = {path: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    # class is named somewhere in src/ outside its own definition
+    texts = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
     unused = []
     for path, text in texts.items():
         lines = text.splitlines()
@@ -77,6 +76,29 @@ def test_every_definition_used_in_src():
             if not re.search(rf"\b{re.escape(node.name)}\b", rest):
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def test_every_error_type_is_caught_in_src():
+    # errors.py holds only the types a caller catches: each one but the base
+    # class is named by an except clause in src/
+    tree = ast.parse((SRC / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"WeilPolyError"}
+    caught = {
+        name.id
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in ast.walk(node.type)
+        if isinstance(name, ast.Name)
+    }
+    assert sorted(defined - caught) == []
+
+
+def test_package_root_imports_nothing():
+    # every name is imported from its defining module, so the package root
+    # is not a second import path
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
