@@ -16,7 +16,6 @@ independent of the Sturm route and is used to cross-check it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -38,27 +37,29 @@ NEG_INF = _Infinity(-1)
 POS_INF = _Infinity(1)
 
 
-@functools.lru_cache(maxsize=None)
-def _dickson_basis(k: int, q: int) -> IntPoly:
-    """The monic degree-k polynomial D_k with D_k(t + q/t) = t^k + (q/t)^k.
-
-    D_0 = 2, D_1 = x, D_k = x*D_{k-1} - q*D_{k-2} (Dickson polynomials)."""
-    if k == 0:
-        return IntPoly((2,))
-    if k == 1:
-        return IntPoly.x()
-    return IntPoly.x() * _dickson_basis(k - 1, q) - _dickson_basis(k - 2, q).scale(q)
-
-
 def real_weil_transform(f: QPolynomial) -> IntPoly:
-    """The degree-g polynomial h with f(t) = t^g * h(t + q/t), exactly."""
+    """The degree-g polynomial h with f(t) = t^g * h(t + q/t), exactly.
+
+    h = a_g + sum over 0 <= k < g of a_k * D_(g-k), where D_k is the monic
+    degree-k polynomial with D_k(t + q/t) = t^k + (q/t)^k: D_0 = 2, D_1 = x,
+    D_k = x*D_(k-1) - q*D_(k-2) (Dickson polynomials).  Clenshaw's recurrence
+    sums it without forming any D_k: b_k = a_(g-k) + x*b_(k+1) - q*b_(k+2)
+    for k = g, ..., 1, then h = a_g + x*b_1 - 2q*b_2.
+    """
     if not isinstance(f, QPolynomial):
         raise ValueError("expected a checked QPolynomial; run check_q_symmetry first")
     g, q = f.g, f.q
-    h = _dickson_basis(g, q)
-    for j in range(1, g):
-        h = h + _dickson_basis(g - j, q).scale(f.a(j))
-    return h + IntPoly((f.middle,))
+    b1: list[int] = []  # b_(k+1), then b_1; coefficients low degree first
+    b2: list[int] = []  # b_(k+2), then b_2
+    for k in range(g, 0, -1):
+        bk = [f.a(g - k)] + b1
+        for i, c in enumerate(b2):
+            bk[i] -= q * c
+        b1, b2 = bk, b1
+    h = [f.middle] + b1
+    for i, c in enumerate(b2):
+        h[i] -= 2 * q * c
+    return IntPoly(h)
 
 
 # -- Sturm machinery -----------------------------------------------------------

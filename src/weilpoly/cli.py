@@ -4,6 +4,8 @@ Exit codes: 0 success / verification positive, 1 malformed arguments or
 input, 2 invalid parameter tuple, 3 verification negative (the input is not
 a q-polynomial).  Polynomials are read and written as comma-separated
 decimal coefficients, low degree first ("25,5,1,1,1" is t^4+t^3+t^2+5t+25).
+search writes its reports to --out (default stdout) and its summary line to
+stderr.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from .engine import (
     classify,
     search,
     search_summary,
-    validate_tuple,
 )
+from .errors import InvalidTuple, NotPrimePower
 from .intpoly import IntPoly
-from .numtheory import is_prime, prime_power_decompose
-from .errors import NotPrimePower
+from .numtheory import is_prime
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,14 +90,13 @@ def cmd_construct(args) -> int:
     if _bad_flags({name: [getattr(args, name)] for name in _FLAG_RULES}):
         return EXIT_USAGE
     t = ParamTuple(rho=args.rho, b=args.b, r=args.r, p=args.p, n=args.n, m=args.m)
-    checks = validate_tuple(t)
-    failed = [c for c in checks if not c.passed]
-    if failed:
+    try:
+        rep = classify(t, _options_from(args))
+    except InvalidTuple as exc:
         print("invalid tuple; failed preconditions:")
-        for c in failed:
+        for c in exc.failures:
             print(f"  - {c.name} ({c.detail})")
         return EXIT_INVALID_TUPLE
-    rep = classify(t, _options_from(args), checks)
     _print_report(rep)
     return EXIT_OK
 
@@ -111,11 +111,10 @@ def cmd_verify(args) -> int:
         print("error: polynomial must be nonconstant", file=sys.stderr)
         return EXIT_USAGE
     try:
-        prime_power_decompose(args.q)
+        rep = classify((poly, args.q), _options_from(args))
     except NotPrimePower:
         print(f"error: q={args.q} is not a prime power", file=sys.stderr)
         return EXIT_USAGE
-    rep = classify((poly, args.q), _options_from(args))
     _print_report(rep)
     return EXIT_OK if rep.is_q_polynomial else EXIT_NEGATIVE
 
@@ -169,7 +168,7 @@ def cmd_search(args) -> int:
     finally:
         if args.out:
             out.close()
-    print(" ".join(f"{k}={v}" for k, v in summary.items()))
+    print(" ".join(f"{k}={v}" for k, v in summary.items()), file=sys.stderr)
     return EXIT_OK
 
 

@@ -164,9 +164,9 @@ def construct(t: ParamTuple, checks: list[PreconditionCheck] | None = None) -> Q
 
     `checks` is validate_tuple(t) when the caller has already made it.
     """
-    failures = [c.name for c in (validate_tuple(t) if checks is None else checks) if not c.passed]
+    failures = [c for c in (validate_tuple(t) if checks is None else checks) if not c.passed]
     if failures:
-        raise InvalidTuple(f"invalid tuple {t}: {', '.join(failures)}", failures)
+        raise InvalidTuple(f"invalid tuple {t}: {', '.join(c.name for c in failures)}", failures)
     g, q, d = t.g, t.q, t.dpow
     coeffs = [0] * (2 * g + 1)
     coeffs[2 * g] = 1
@@ -255,10 +255,9 @@ class ClassificationReport:
     tuple: ParamTuple | None
     g: int
     q: int
-    p: int | None
     poly: IntPoly
     is_q_polynomial: bool
-    method: str  # "exact+ll" | "exact" | "shape" | "invalid_tuple"
+    method: str  # "exact+ll" | "exact" | "shape"
     symmetry_fail_index: int | None = None
     modulus_witness: dict | None = None
     ll_passed: bool | None = None
@@ -269,7 +268,6 @@ class ClassificationReport:
     witness_d: int | None = None
     power_test_bound: int | None = None
     max_modulus_deviation: float | None = None
-    failed_preconditions: list | None = None
     timings_ms: dict = field(default_factory=dict)
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
@@ -281,8 +279,6 @@ class ClassificationReport:
             out["symmetry_fail_index"] = self.symmetry_fail_index
         if self.modulus_witness is not None:
             out["modulus_witness"] = self.modulus_witness
-        if self.failed_preconditions is not None:
-            out["failed_preconditions"] = self.failed_preconditions
         if include_timings:
             out["timings_ms"] = {k: round(v, 3) for k, v in self.timings_ms.items()}
         return out
@@ -326,8 +322,11 @@ def classify(
     options: ClassifyOptions = ClassifyOptions(),
     checks: list[PreconditionCheck] | None = None,
 ) -> ClassificationReport:
-    """Run the full certificate chain on a parameter tuple or an (f, q) pair;
-    `checks` is validate_tuple(source) when the caller has already made it."""
+    """Run the full certificate chain on a valid parameter tuple or an (f, q)
+    pair; `checks` is validate_tuple(source) when the caller has already made it.
+
+    Raises InvalidTuple for a tuple that fails a precondition and NotPrimePower
+    for a q that is not a prime power."""
     timings: dict[str, float] = {}
 
     def clock(name, fn):
@@ -337,32 +336,22 @@ def classify(
         return out
 
     if isinstance(source, ParamTuple):
-        tup, raw_poly, p = source, IntPoly.zero(), source.p
-        g = source.g if source.b >= 1 else 0
-        q = source.q if source.n >= 1 else 0
+        tup, p = source, source.p
+        qpoly = clock("construct", lambda: construct(tup, checks))
+        raw_poly, g, q = qpoly.poly, qpoly.g, qpoly.q
     else:
         (raw_poly, q), tup = source, None
+        p = prime_power_decompose(q).p
         even = raw_poly.degree >= 2 and raw_poly.degree % 2 == 0
         g = raw_poly.degree // 2 if even else 0
-        try:
-            p = prime_power_decompose(q).p
-        except NotPrimePower:
-            p = None
     report = ClassificationReport(
-        tuple=tup, g=g, q=q, p=p, poly=raw_poly, is_q_polynomial=False, method="exact", timings_ms=timings
+        tuple=tup, g=g, q=q, poly=raw_poly, is_q_polynomial=False, method="exact", timings_ms=timings
     )
 
-    if tup is not None:
-        try:
-            qpoly = clock("construct", lambda: construct(tup, checks))
-        except InvalidTuple as exc:
-            report.method, report.failed_preconditions = "invalid_tuple", list(exc.failures)
-            return report
-        report.poly = raw_poly = qpoly.poly
-    elif g == 0:
+    if tup is None and g == 0:
         report.method, report.symmetry_fail_index = "shape", -1
         return report
-    else:
+    if tup is None:
         try:
             qpoly = check_q_symmetry(raw_poly, g, q)
         except ShapeMismatch as exc:
@@ -376,8 +365,7 @@ def classify(
     report.ll_passed = clock("ll_check", lambda: ll_unit_circle_check(qpoly))
     report.method = "exact+ll" if report.ll_passed else "exact"
 
-    if p is not None:
-        report.ordinary = clock("ordinary", lambda: certify_ordinary(qpoly, p))
+    report.ordinary = clock("ordinary", lambda: certify_ordinary(qpoly, p))
 
     if tup is not None:
         report.simple = clock(
@@ -436,7 +424,8 @@ class SearchRange:
                 if b < 1 or d is None:
                     continue
                 for r in r_list:
-                    for q in range(max(self.q_min, 4), self.q_max + 1):
+                    # a q past MAX_Q fails the field size cap, so it is not enumerated
+                    for q in range(max(self.q_min, 4), min(self.q_max, MAX_Q) + 1):
                         if q % r != 1:
                             continue
                         try:

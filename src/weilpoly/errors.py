@@ -24,7 +24,7 @@ class ShapeMismatch(WeilPolyError):
 class InvalidTuple(WeilPolyError):
     """Parameter tuple violates one or more construction preconditions.
 
-    Carries ``failures``, the list of failed precondition names.
+    Carries ``failures``, the failed PreconditionCheck records.
     """
 
     def __init__(self, message, failures=()):

@@ -152,13 +152,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(j * self.coeffs[j] for j in range(1, len(self.coeffs)))
 
-    def __call__(self, x: int) -> int:
-        """Exact evaluation at an integer (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- content and division --------------------------------------------------
 
     def content(self) -> int:

@@ -18,6 +18,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_cli(*argv):
+    """The CLI in its own process, so that a hang fails the test."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "weilpoly.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+
+
 class TestConstruct:
     def test_valid_tuple(self, capsys):
         code, out, _ = run(
@@ -122,35 +131,48 @@ class TestSearch:
 
     def test_empty_range(self, capsys, tmp_path):
         out_path = tmp_path / "empty.jsonl"
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "search", "--rho", "5", "--b", "1", "--q-max", "4",
             "--no-timings", "--out", str(out_path),
         )
         assert code == 0
-        assert out_path.read_text() == ""
-        assert "tuples=0" in out
+        assert out_path.read_text() == "" and out == ""
+        assert "tuples=0" in err
 
     def test_tuples_over_the_degree_cap_are_skipped(self, capsys, tmp_path):
         out_path = tmp_path / "capped.jsonl"
-        code, out, _ = run(
+        code, _, err = run(
             capsys, "search", "--rho", "5", "--b", "4", "--q-max", "12",
             "--no-timings", "--out", str(out_path),
         )
         assert code == 0
         assert out_path.read_text() == ""
-        assert "tuples=0" in out
+        assert "tuples=0" in err
 
-    def test_large_b_is_skipped_before_m_max(self, tmp_path):
+    def test_large_b_is_skipped_before_m_max(self):
         # 2g = 5^10 * 4: the sweep decides the degree cap before computing
         # m_max = q^(5^10), in its own process so that a hang fails the test
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "weilpoly.cli", "search", "--rho", "5", "--b", "11",
-             "--q-max", "12", "--no-timings"],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
-        )
-        assert out.returncode == 0
-        assert out.stdout.startswith("tuples=0 ")
+        out = run_cli("search", "--rho", "5", "--b", "11", "--q-max", "12", "--no-timings")
+        assert out.returncode == 0 and out.stdout == ""
+        assert out.stderr.startswith("tuples=0 ")
+
+    def test_q_past_the_field_size_cap_is_not_enumerated(self):
+        # every q above 2^32 fails the field size cap, so the sweep stops there
+        # instead of walking a trillion integers
+        out = run_cli("search", "--rho", "5", "--q-min", "4294967297", "--q-max", "1099511627776",
+                      "--no-timings")
+        assert out.returncode == 0 and out.stdout == ""
+        assert out.stderr.startswith("tuples=0 ")
+
+    def test_stdout_pipes_into_report(self, capsys, tmp_path):
+        # without --out only the reports go to stdout, so report reads them back
+        code, out, err = run(capsys, "search", "--rho", "5", "--q-max", "20", "--no-timings")
+        assert code == 0 and err.startswith("tuples=18 ")
+        path = tmp_path / "piped.jsonl"
+        path.write_text(out)
+        code, table, err = run(capsys, "report", "--in", str(path))
+        assert code == 0 and err == ""
+        assert "certified_yes:18" in table
 
     @pytest.mark.parametrize("flag, value", [("--r", "0"), ("--r", "4"), ("--rho", "4,5"), ("--b", "0,1")])
     def test_malformed_range_exit_1(self, capsys, flag, value):
@@ -169,9 +191,9 @@ class TestSearch:
         jl, cv = tmp_path / "x.jsonl", tmp_path / "x.csv"
         summaries = [
             run(capsys, "search", "--rho", "5", "--b", "1,2", "--q-max", "9",
-                "--no-timings", "--out", str(jl))[1],
+                "--no-timings", "--out", str(jl))[2],
             run(capsys, "search", "--rho", "5", "--b", "1,2", "--q-max", "9",
-                "--no-timings", "--format", "csv", "--out", str(cv))[1],
+                "--no-timings", "--format", "csv", "--out", str(cv))[2],
         ]
         assert summaries == [
             "tuples=14 q_polynomial=14 ordinary=14 simple=14 absolutely_simple_yes=6 "

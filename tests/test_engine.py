@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -22,7 +24,7 @@ from weilpoly.engine import (
     search_summary,
     validate_tuple,
 )
-from weilpoly.errors import InvalidTuple
+from weilpoly.errors import InvalidTuple, NotPrimePower
 from weilpoly.intpoly import (
     IntPoly,
     check_q_symmetry,
@@ -87,7 +89,7 @@ class TestConstruct:
     def test_invalid_tuple_raises(self):
         with pytest.raises(InvalidTuple) as exc:
             construct(ParamTuple(rho=5, b=1, r=2, p=2, n=2, m=0))
-        assert "q = 1 mod r" in exc.value.failures
+        assert "q = 1 mod r" in [c.name for c in exc.value.failures]
 
     def test_middle_coefficient_tracks_m(self):
         # m = 2 is excluded here: -1/2 = 2 mod 5
@@ -98,7 +100,7 @@ class TestConstruct:
         big = ParamTuple(rho=1009, b=1, r=11, p=23, n=1, m=0)
         with pytest.raises(InvalidTuple) as exc:
             construct(big)
-        assert "degree cap" in exc.value.failures
+        assert "degree cap" in [c.name for c in exc.value.failures]
 
 
 class TestCertificates:
@@ -240,6 +242,40 @@ class TestClassify:
         assert rep.max_modulus_deviation is not None
         assert rep.max_modulus_deviation < 1e-12
 
+    def test_invalid_tuple_raises(self):
+        # the failed checks travel with the exception, details included
+        with pytest.raises(InvalidTuple) as exc:
+            classify(ParamTuple(rho=5, b=1, r=2, p=2, n=2, m=0))
+        assert ("q = 1 mod r", "q=4, r=2") in [(c.name, c.detail) for c in exc.value.failures]
+
+    def test_over_the_field_size_cap_raises_at_once(self):
+        # q = 11^5000 is never formed: the field size cap refuses the tuple
+        with pytest.raises(InvalidTuple, match="field size cap"):
+            classify(ParamTuple(rho=5, b=1, r=2, p=11, n=5000, m=0))
+
+    def test_non_prime_power_q_raises(self):
+        with pytest.raises(NotPrimePower):
+            classify((P(36, 6, 1, 1, 1), 6))
+
+    def test_memory_stays_flat_as_a_sweep_grows(self):
+        # classify keeps nothing between inputs: after a warm-up, 400 more
+        # tuples (g = 10, each with its own q) leave under 256 KB behind
+        tuples = [t for t in SearchRange(rhos=(5,), bs=(2,), q_max=4000).candidate_tuples() if t.m == 0]
+        assert len({t.q for t in tuples[:450]}) == 450
+        tracemalloc.start()
+        try:
+            for t in tuples[:50]:
+                classify(t)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for t in tuples[50:450]:
+                classify(t)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 256 * 1024
+
 
 class TestTheoremInvariants:
     def test_cyclotomic_congruence_small_sweep(self):
@@ -357,11 +393,3 @@ class TestReportSerialization:
         assert list(d["tuple"]) == list(TUPLE_KEYS)
         assert "timings_ms" in d
         assert len(rep.to_csv_row()) == len(CSV_FIELDS)
-
-    def test_invalid_tuple_is_data_not_exception(self):
-        bad = ParamTuple(rho=5, b=1, r=2, p=2, n=2, m=0)
-        rep = classify(bad)
-        assert rep.method == "invalid_tuple"
-        assert not rep.is_q_polynomial
-        assert "q = 1 mod r" in rep.failed_preconditions
-        assert "failed_preconditions" in rep.to_json_dict()

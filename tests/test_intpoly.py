@@ -48,11 +48,6 @@ class TestArithmetic:
         f = P(3, 0, 2)
         assert IntPoly.zero() + f == f
 
-    def test_eval(self):
-        assert P(1, 0, 1)(2) == 5
-        assert P(25, 5, 1, 1, 1)(0) == 25
-        assert cyclotomic(5)(1) == 5
-
     def test_normalization(self):
         assert P(1, 2, 0, 0).degree == 1
         assert IntPoly([0, 0]).is_zero()
