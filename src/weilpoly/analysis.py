@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import WeilPolyError
-from .intpoly import IntPoly, QPolynomial, pseudo_remainder
+from .intpoly import IntPoly, QPolynomial, poly_gcd, pseudo_remainder
 from .surd import QuadSurd
 
 
@@ -220,16 +220,10 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
     h0 = h
     if chain[-1].degree > 0:
         h0 = h.divmod(chain[-1].primitive())[0]
-    s = isqrt(q)
-    if s * s == q:
-        for root in (2 * s, -2 * s):
-            lin = IntPoly((-root, 1))
-            if lin.divides(h0):
-                h0 = h0.divmod(lin)[0]
-    else:
-        edge_factor = IntPoly((-4 * q, 0, 1))  # x^2 - 4q
-        if edge_factor.divides(h0):
-            h0 = h0.divmod(edge_factor)[0]
+    # gcd(h0, x^2 - 4q) is monic and holds the roots of h0 at +/-2*sqrt(q)
+    edge_factor = poly_gcd(h0, IntPoly((-4 * q, 0, 1)))
+    if edge_factor.degree > 0:
+        h0 = h0.divmod(edge_factor)[0]
     if h0.degree <= 0:
         return ModulusCheckResult(passed=True)
     if h0.degree < h.degree:  # the radical or an endpoint factor changed h

@@ -186,9 +186,10 @@ def _row_error(row) -> str | None:
     return None
 
 
-def _load_jsonl(path: str) -> list[dict]:
-    """The report objects of a JSONL file; ValueError names a bad line."""
-    rows = []
+def _report_groups(path: str) -> dict[tuple, dict]:
+    """The per-(rho, b) tallies of a JSONL file, each row folded in as it is
+    read, so no row is kept; ValueError names a bad line."""
+    groups: dict[tuple, dict] = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -200,36 +201,33 @@ def _load_jsonl(path: str) -> list[dict]:
             error = _row_error(row)
             if error:
                 raise ValueError(f"line {number}: {error}")
-            rows.append(row)
-    return rows
+            t = row.get("tuple") or {}
+            key = (t.get("rho", "-"), t.get("b", "-"))
+            grp = groups.setdefault(
+                key,
+                {"count": 0, "q_poly": 0, "ordinary": 0, "simple": 0,
+                 "abs": {}, "max_dev": None},
+            )
+            grp["count"] += 1
+            grp["q_poly"] += bool(row.get("is_q_polynomial"))
+            grp["ordinary"] += row.get("ordinary") is True
+            grp["simple"] += row.get("simple") is True
+            verdict = row.get("absolutely_simple") or "not_evaluated"
+            if verdict == "certified_no" and row.get("witness_d") is not None:
+                verdict = f"certified_no(d={row['witness_d']})"
+            grp["abs"][verdict] = grp["abs"].get(verdict, 0) + 1
+            dev = row.get("max_modulus_deviation")
+            if dev is not None:
+                grp["max_dev"] = dev if grp["max_dev"] is None else max(grp["max_dev"], dev)
+    return groups
 
 
 def cmd_report(args) -> int:
     try:
-        rows = _load_jsonl(args.infile)
+        groups = _report_groups(args.infile)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    groups: dict[tuple, dict] = {}
-    for row in rows:
-        t = row.get("tuple") or {}
-        key = (t.get("rho", "-"), t.get("b", "-"))
-        grp = groups.setdefault(
-            key,
-            {"count": 0, "q_poly": 0, "ordinary": 0, "simple": 0,
-             "abs": {}, "max_dev": None},
-        )
-        grp["count"] += 1
-        grp["q_poly"] += bool(row.get("is_q_polynomial"))
-        grp["ordinary"] += row.get("ordinary") is True
-        grp["simple"] += row.get("simple") is True
-        verdict = row.get("absolutely_simple") or "not_evaluated"
-        if verdict == "certified_no" and row.get("witness_d") is not None:
-            verdict = f"certified_no(d={row['witness_d']})"
-        grp["abs"][verdict] = grp["abs"].get(verdict, 0) + 1
-        dev = row.get("max_modulus_deviation")
-        if dev is not None:
-            grp["max_dev"] = dev if grp["max_dev"] is None else max(grp["max_dev"], dev)
     header = f"{'rho':>5} {'b':>3} {'count':>6} {'q-poly':>7} {'ordinary':>9} {'simple':>7} {'max_dev':>10}  absolutely_simple"
     print(header)
     print("-" * len(header))

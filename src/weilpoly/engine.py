@@ -401,7 +401,7 @@ def classify(
 @dataclass(frozen=True)
 class SearchRange:
     """Finite enumeration grid; tuples stream out in lexicographic order
-    (rho, b, r, q, m)."""
+    (rho, b, r, q, m).  rhos, bs and rs are sets: a repeated entry counts once."""
 
     rhos: tuple[int, ...]
     bs: tuple[int, ...]
@@ -411,15 +411,15 @@ class SearchRange:
     m_policy: str = "corners"  # "corners": {0, 1, m_max}; "all": every m
 
     def candidate_tuples(self) -> Iterator[ParamTuple]:
-        for rho in sorted(self.rhos):
+        for rho in sorted(set(self.rhos)):
             if not is_prime(rho) or rho < 5:
                 continue
             if self.rs is None:
                 least = least_prime_primitive_root(rho ** 2)
                 r_list = [least] if least else []
             else:
-                r_list = sorted(self.rs)
-            for b in sorted(self.bs):
+                r_list = sorted(set(self.rs))
+            for b in sorted(set(self.bs)):
                 d = _degree_cap(rho, b)[1]
                 if b < 1 or d is None:
                     continue

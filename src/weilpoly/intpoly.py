@@ -31,18 +31,6 @@ class IntPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
     def from_string(cls, text: str) -> "IntPoly":
         """Parse the canonical comma-separated low-to-high coefficient form."""
         parts = [p.strip() for p in text.split(",")]
@@ -90,42 +78,17 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "IntPoly(0)"
-        terms = []
-        for j in range(self.degree, -1, -1):
-            c = self.coeff(j)
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(f"{c}")
-            elif j == 1:
-                terms.append("t" if c == 1 else f"{c}*t")
-            else:
-                terms.append(f"t^{j}" if c == 1 else f"{c}*t^{j}")
-        return "IntPoly(" + " + ".join(terms).replace("+ -", "- ") + ")"
+        return f"IntPoly({list(self.coeffs)})"
 
     # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(-c for c in self.coeffs)
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPoly.zero()
+            return IntPoly(())
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
@@ -136,18 +99,6 @@ class IntPoly:
 
     def scale(self, c: int) -> "IntPoly":
         return IntPoly(c * a for a in self.coeffs)
-
-    def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        result = IntPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def derivative(self) -> "IntPoly":
         return IntPoly(j * self.coeffs[j] for j in range(1, len(self.coeffs)))
@@ -192,11 +143,6 @@ class IntPoly:
                 rem[i - d + j] -= c * b
         return IntPoly(quot), IntPoly(rem)
 
-    def divides(self, f: "IntPoly") -> bool:
-        """True iff self (monic) divides f exactly."""
-        _, r = f.divmod(self)
-        return r.is_zero()
-
 
 def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
     """prem(a, b): remainder of lc(b)^(deg a - deg b + 1) * a divided by b."""
@@ -226,7 +172,7 @@ def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """gcd in Z[t] via the primitive remainder sequence, leading coefficient > 0."""
     if a.is_zero():
-        return b.primitive() if not b.is_zero() else IntPoly.zero()
+        return b.primitive() if not b.is_zero() else IntPoly(())
     if b.is_zero():
         return a.primitive()
     cont = int_gcd(a.content(), b.content())
@@ -248,7 +194,7 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     if f.is_zero():
         raise ValueError("radical of zero polynomial")
     if f.degree == 0:
-        return IntPoly.one()
+        return IntPoly((1,))
     d = poly_gcd(f, f.derivative())
     if d.degree == 0:
         return f.primitive()

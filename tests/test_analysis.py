@@ -31,11 +31,14 @@ def P(*coeffs):
 
 def reconstruct_symmetric(h, g, q):
     """Expand t^g * h(t + q/t) back into a polynomial in t."""
-    shifted = P(q, 0, 1)  # t^2 + q
-    acc = IntPoly.zero()
+    # sum over k of c_k * (t^2 + q)^k * t^(g-k), summed coefficient-wise
+    acc = [0] * (2 * g + 1)
+    term = P(1)  # (t^2 + q)^k
     for k, c in enumerate(h.coeffs):
-        acc = acc + (shifted ** k).scale(c) * IntPoly((0,) * (g - k) + (1,))
-    return acc
+        for j, tc in enumerate(term.coeffs):
+            acc[g - k + j] += c * tc
+        term = term * P(q, 0, 1)
+    return IntPoly(acc)
 
 
 def eval_fraction(f, x):

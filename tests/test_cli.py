@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,16 @@ class TestSearch:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes()  # nonempty
 
+    def test_repeated_list_entries_count_once(self, capsys, tmp_path):
+        # --rho, --b and --r are sets: a repeated entry adds no report
+        once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+        _, _, err_once = run(capsys, "search", "--rho", "5", "--b", "1", "--r", "2", "--q-max", "12",
+                             "--no-timings", "--out", str(once))
+        _, _, err_twice = run(capsys, "search", "--rho", "5,5", "--b", "1,1", "--r", "2,2", "--q-max", "12",
+                              "--no-timings", "--out", str(twice))
+        assert err_once.startswith("tuples=9 ") and err_twice == err_once
+        assert twice.read_bytes() == once.read_bytes()
+
     def test_empty_range(self, capsys, tmp_path):
         out_path = tmp_path / "empty.jsonl"
         code, out, err = run(
@@ -229,6 +240,25 @@ class TestReport:
         assert code == 0
         assert "certified_yes" in out
         assert "certified_no(d=5)" in out
+
+    def test_memory_stays_flat_as_the_input_grows(self, capsys, tmp_path):
+        # each row is folded into its group as it is read, so ten copies of a
+        # sweep's rows hold no more memory than one
+        path, repeated = tmp_path / "sweep.jsonl", tmp_path / "repeated.jsonl"
+        run(capsys, "search", "--rho", "5", "--b", "1,2", "--q-max", "64", "--no-timings", "--out", str(path))
+        repeated.write_text(path.read_text() * 10)
+        peaks, tables = [], []
+        for p in (path, repeated):
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, "report", "--in", str(p))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            tables.append(out)
+        assert tables[1] != tables[0]  # the counts grew tenfold
+        assert peaks[1] - peaks[0] < 64 * 1024
 
     def test_empty_input(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -22,11 +22,20 @@ def P(*coeffs_low_to_high):
     return IntPoly(coeffs_low_to_high)
 
 
-def from_roots(roots):
-    f = IntPoly.one()
-    for r in roots:
-        f = f * P(-r, 1)
+def product(factors):
+    """The product of the IntPolys in factors (1 for none)."""
+    f = P(1)
+    for factor in factors:
+        f = f * factor
     return f
+
+
+def from_roots(roots):
+    return product(P(-r, 1) for r in roots)
+
+
+def evaluate(f, x):
+    return sum(c * x ** j for j, c in enumerate(f.coeffs))
 
 
 def inflate(f, k):
@@ -45,8 +54,6 @@ class TestArithmetic:
     def test_ring_ops(self):
         assert P(1, 1) * P(-1, 1) == P(-1, 0, 1)  # (t+1)(t-1) = t^2 - 1
         assert P(0, 0, 0, 0, 1).derivative() == P(0, 0, 0, 4)
-        f = P(3, 0, 2)
-        assert IntPoly.zero() + f == f
 
     def test_normalization(self):
         assert P(1, 2, 0, 0).degree == 1
@@ -64,13 +71,15 @@ class TestArithmetic:
     def test_divmod(self):
         # monic and non-monic divisors; a non-integral quotient is refused
         assert P(1, 1, 1).divmod(P(-1, 1)) == (P(2, 1), P(3))
-        assert P(-2, -1, 6).divmod(P(1, 2)) == (P(-2, 3), IntPoly.zero())
+        assert P(-2, -1, 6).divmod(P(1, 2)) == (P(-2, 3), P())
         with pytest.raises(ValueError):
             P(1, 0, 1).divmod(P(1, 2))
 
-    @given(small_polys, small_polys, small_polys)
-    def test_distributivity(self, a, b, c):
-        assert a * (b + c) == a * b + a * c
+    @given(small_polys, small_polys)
+    def test_product_evaluates_to_product_of_values(self, a, b):
+        # (a*b)(x) = a(x)*b(x) at more integer points than the product's degree
+        for x in range(-4, 9):
+            assert evaluate(a * b, x) == evaluate(a, x) * evaluate(b, x)
 
 
 class TestCyclotomic:
@@ -151,7 +160,7 @@ class TestCharPolyOfPower:
     def test_inflated_quintic(self):
         h = P(9765625, 3125, 1, 1, 1)
         f = inflate(h, 5)
-        assert char_poly_of_power(f, 5) == h ** 5
+        assert char_poly_of_power(f, 5) == product([h] * 5)
 
     @given(
         st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=6),
@@ -180,10 +189,10 @@ class TestMinimalPolyOfPower:
 
 class TestGcdAndRadical:
     def test_radical_of_product(self):
-        f = P(-1, 1) ** 2 * P(2, 1)
+        f = product([P(-1, 1), P(-1, 1), P(2, 1)])
         assert squarefree_part(f) == P(-1, 1) * P(2, 1)
         # 6(x - 1)^2 (2x + 1)(2 - 3x)^3: non-monic and non-primitive
-        f = (P(-1, 1) ** 2 * P(1, 2) * P(2, -3) ** 3).scale(6)
+        f = product([P(-1, 1)] * 2 + [P(1, 2)] + [P(2, -3)] * 3).scale(6)
         assert squarefree_part(f) == P(2, -1, -7, 6)
 
     def test_radical_of_squarefree_is_self(self):
@@ -197,9 +206,7 @@ class TestGcdAndRadical:
     @settings(max_examples=60)
     def test_radical_strips_multiplicities(self, roots, mults):
         pairs = list(zip(roots, mults))
-        f = IntPoly.one()
-        for r, e in pairs:
-            f = f * P(-r, 1) ** e
+        f = from_roots([r for r, e in pairs for _ in range(e)])
         assert squarefree_part(f) == from_roots([r for r, _ in pairs])
 
     @given(
@@ -216,9 +223,7 @@ class TestGcdAndRadical:
     @settings(max_examples=80)
     def test_radical_matches_sympy(self, factors, content):
         # non-monic, non-primitive products of repeated factors
-        f = IntPoly((content,))
-        for cs, e in factors:
-            f = f * IntPoly(cs) ** e
+        f = product([P(content)] + [IntPoly(cs) for cs, e in factors for _ in range(e)])
         expected = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"), domain="ZZ").sqf_part()
         assert squarefree_part(f).coeffs == tuple(int(c) for c in reversed(expected.all_coeffs()))
 

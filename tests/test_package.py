@@ -1,9 +1,12 @@
 """Tooling checks on the package source and the benchmark's tracer."""
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
+import io
+import json
 import os
 import re
 import subprocess
@@ -117,3 +120,115 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# the defs in src/ that no src/ caller reaches, each with the reason it stays
+NOT_CALLED_FROM_SRC = {
+    "cli.main": "the console-script entry point",
+    "cli._Parser.error": "argparse calls it",
+    "analysis._Infinity.__init__": "runs at import, before any trace starts",
+    "surd.QuadSurd.__mul__": "the benchmark's tracer wraps it by name",
+    # without these, == and hashing fall back to identity and truthiness to
+    # always-true, silently; repr is what a failed check prints
+    "intpoly.IntPoly.__eq__": "value equality",
+    "intpoly.IntPoly.__hash__": "hashing by value, to match __eq__",
+    "intpoly.IntPoly.__bool__": "the zero polynomial is false",
+    "intpoly.IntPoly.__repr__": "readable in failure messages",
+    "modpoly.ModPoly.__eq__": "value equality",
+    "modpoly.ModPoly.__hash__": "hashing by value, to match __eq__",
+    "modpoly.ModPoly.__repr__": "readable in failure messages",
+    "analysis._Infinity.__repr__": "readable in failure messages",
+}
+
+# the CLI runs of the call trace, each with its exit code
+TRACED_RUNS = [
+    (["search", "--rho", "5,7", "--b", "1,2", "--q-max", "16", "--no-timings", "--out", "{dir}/s.jsonl"], 0),
+    (["search", "--rho", "5,7", "--b", "1,2", "--q-max", "16", "--format", "csv", "--out", "{dir}/s.csv"], 0),
+    (["search", "--rho", "5,7", "--b", "1,2", "--q-max", "16", "--workers", "2", "--out", "{dir}/w.jsonl"], 0),
+    (["report", "--in", "{dir}/s.jsonl"], 0),
+    (["construct", "--rho", "5", "--b", "1", "--r", "2", "--p", "5", "--n", "1", "--m", "0"], 0),
+    (["construct", "--rho", "5", "--b", "1", "--r", "2", "--p", "5", "--n", "1", "--m", "0", "--numeric"], 0),
+    (["construct", "--rho", "5", "--b", "1", "--r", "2", "--p", "2", "--n", "2", "--m", "0"], 2),
+    (["verify", "--poly", "25,5,1,1,1", "--q", "5"], 0),
+    (["verify", "--poly", "8,4,2,5,1,1,1", "--q", "2"], 3),
+    (["verify", "--poly", "26,5,1,1,1", "--q", "5"], 3),
+    (["verify", "--poly", "25,5,1,1,1", "--q", "5", "--numeric"], 0),
+]
+
+
+def _trace_src_calls(directory: str) -> dict:
+    """Run TRACED_RUNS and every 15th input of the benchmark's verify_raw pool
+    through the CLI under sys.setprofile.  Returns the exit codes and the
+    (file, first line) of every src/ function that a src/ caller called."""
+    from weilpoly import cli
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    runs = [[arg.format(dir=directory) for arg in argv] for argv, _ in TRACED_RUNS]
+    runs += [
+        ["verify", "--poly", ",".join(map(str, coeffs)), "--q", str(q)]
+        for _, coeffs, q, _ in workloads.verify_pool()[::15]
+    ]
+    src_files = {mod.__file__ for name, mod in sys.modules.items() if name.startswith("weilpoly")}
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in src_files:
+            caller = frame.f_back
+            if caller is not None and caller.f_code.co_filename in src_files:
+                seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            codes = [cli.main(argv) for argv in runs]
+        finally:
+            sys.setprofile(None)
+    return {"codes": codes, "seen": sorted(seen)}
+
+
+def _src_definitions() -> dict[str, tuple[str, int]]:
+    """Qualified name -> (file, first line) of every def in src/, nested ones
+    included; the first line is that of the first decorator, as in
+    co_firstlineno."""
+    defs = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    defs[name] = (str(path), min([child.lineno] + [d.lineno for d in child.decorator_list]))
+                visit(child, path, name)
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, path.stem)
+    return defs
+
+
+def test_every_def_in_src_has_a_src_caller(tmp_path):
+    # a call trace sees methods, nested functions and dunders, which a name
+    # search cannot: every def in src/ is called from src/ on small CLI
+    # inputs, or is listed in NOT_CALLED_FROM_SRC with its reason
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, __file__, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    trace = json.loads(out.stdout)
+    assert trace["codes"][: len(TRACED_RUNS)] == [code for _, code in TRACED_RUNS]
+    seen = {(str(Path(file).resolve()), line) for file, line in trace["seen"]}
+    untraced = {name for name, where in _src_definitions().items() if where not in seen}
+    assert sorted(untraced - NOT_CALLED_FROM_SRC.keys()) == []  # delete each, or list it with its reason
+    assert sorted(NOT_CALLED_FROM_SRC.keys() - untraced) == []  # called from src/, or gone: unlist each
+
+
+if __name__ == "__main__":
+    print(json.dumps(_trace_src_calls(sys.argv[1])))
