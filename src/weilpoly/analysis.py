@@ -10,15 +10,19 @@ which Sturm chains decide exactly: at the endpoints +/-2*sqrt(q) each chain
 element p(x) = E(x^2) + x*O(x^2) takes the value E(4q) +/- 2*sqrt(q)*O(4q),
 whose sign is one integer comparison.
 
-The numeric oracle (simultaneous root iteration via mpmath) is deliberately
-independent of the Sturm route and is used to cross-check it.
+The numeric oracle is deliberately independent of the Sturm route and is
+used to cross-check it.  It finds all roots of f by mpmath's Durand-Kerner
+iteration at high precision, started from double-precision roots that
+Aberth's iteration finds in Python complex arithmetic, and certifies each
+root by its backward error.  The start points decide only how many sweeps
+the iteration takes; the certificate does not depend on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import cos, isfinite, isqrt, pi, sin
 
 from .errors import WeilPolyError
 from .intpoly import IntPoly, QPolynomial, poly_gcd, pseudo_remainder
@@ -272,10 +276,10 @@ MIN_PRECISION_BITS = 64
 class RootReport:
     """All complex roots of a polynomial, with modulus diagnostics."""
 
-    roots: tuple[complex, ...]
+    roots: tuple[complex, ...]  # sorted by (|imaginary part|, real part, imaginary part)
     modulus_deviations: tuple[float, ...] | None
     max_modulus_deviation: float | None
-    precision_bits: int
+    precision_bits: int  # the working precision at which the certificate passed
 
 
 def default_precision_bits(f: IntPoly) -> int:
@@ -284,15 +288,58 @@ def default_precision_bits(f: IntPoly) -> int:
     return max(128, 2 * m.bit_length() + 64)
 
 
+def _seed_roots(f: IntPoly) -> list[complex]:
+    """Double-precision starting points for numeric_roots: all roots of f by
+    Aberth's simultaneous iteration (O. Aberth, Math. Comp. 27, 1973; D.
+    Bini, Numer. Algorithms 13, 1996) in Python complex arithmetic.
+
+    f is scaled by z = 2^k * w, with 2^k near the geometric mean of the root
+    moduli, so that the scaled coefficients fit a float.  Returns only
+    finite seeds, possibly none.
+    """
+    c, n = f.coeffs, f.degree
+    k = round((abs(c[0]).bit_length() - abs(c[-1]).bit_length()) / n)
+    if abs(k) > 1000:  # 2^k is outside the float range
+        return []
+    try:
+        # monic in w, low degree first
+        a = [float(Fraction(ci, c[-1]) * Fraction(2) ** (k * (i - n))) for i, ci in enumerate(c)]
+    except OverflowError:
+        return []
+    w = [complex(cos(t), sin(t)) for t in (2 * pi * j / n + 0.4 for j in range(n))]
+    for _ in range(100):
+        largest_move = 0.0
+        for i, z in enumerate(w):
+            p, dp = 1.0, 0.0  # f and f' at z by Horner
+            for coeff in reversed(a[:-1]):
+                dp = dp * z + p
+                p = p * z + coeff
+            s = sum(1 / (z - u) for u in w if u != z)
+            den = dp - p * s
+            move = p / den if den else 0j
+            if isfinite(abs(move)):  # a float overflow leaves z where it is
+                w[i] = z - move
+                if z:
+                    largest_move = max(largest_move, abs(move) / abs(z))
+        if largest_move < 1e-14:
+            break
+    seeds = [z * 2.0 ** k for z in w]
+    return [z for z in seeds if isfinite(z.real) and isfinite(z.imag)]
+
+
 def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None = None) -> RootReport:
     """All complex roots by simultaneous iteration at high working precision.
 
+    mpmath's Durand-Kerner iteration (mpmath.polyroots) starts from the
+    double-precision roots of _seed_roots, so it needs only a few sweeps at
+    the working precision; the seeds affect its speed, not what it certifies.
     mpmath is imported here, so only the numeric oracle loads it.  Residuals
     are certified: every root z must have relative backward error
     |f(z)| / sum_i |f_i| |z|^i below 2^(-precision_bits/2), else the working
-    precision is raised and the iteration retried; WeilPolyError is raised
-    after the retry cap.  When q is supplied the report carries
-    | |z| - sqrt(q) | / sqrt(q) for every root.
+    precision is doubled and the iteration retried; WeilPolyError is raised
+    after the retry cap.  The report's precision_bits is the working
+    precision at which the certificate passed.  When q is supplied the
+    report carries | |z| - sqrt(q) | / sqrt(q) for every root.
     """
     import mpmath
 
@@ -306,26 +353,31 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
     work = max(precision_bits, maxbit + 32) + 32
     coeffs_desc = list(reversed(f.coeffs))
     threshold_exp = -(precision_bits // 2)
+    seeds = _seed_roots(f)
     for attempt in range(4):
         with mpmath.workprec(work):
             try:
                 roots = mpmath.polyroots(
-                    coeffs_desc, maxsteps=200, extraprec=work // 2, cleanup=True
+                    coeffs_desc, maxsteps=200, extraprec=work // 2, cleanup=True,
+                    roots_init=seeds,
                 )
             except mpmath.libmp.NoConvergence:
                 work *= 2
                 continue
             ok = True
+            abs_coeffs = [abs(mpmath.mpf(c)) for c in coeffs_desc]
             for z in roots:
                 num = abs(mpmath.polyval(coeffs_desc, z))
-                den = sum(
-                    abs(mpmath.mpf(c)) * abs(z) ** (f.degree - i)
-                    for i, c in enumerate(coeffs_desc)
-                )
+                r, den = abs(z), mpmath.mpf(0)
+                for a in abs_coeffs:  # sum_i |f_i| |z|^i by Horner
+                    den = den * r + a
                 if num > den * mpmath.mpf(2) ** threshold_exp:
                     ok = False
                     break
             if ok:
+                # polyroots leaves each conjugate pair in the order the start
+                # points gave it; order them by imaginary part, too
+                roots.sort(key=lambda z: (abs(z.imag), z.real, z.imag))
                 devs = None
                 if q is not None:
                     sq = mpmath.sqrt(q)
@@ -334,7 +386,7 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
                     roots=tuple(complex(z) for z in roots),
                     modulus_deviations=devs,
                     max_modulus_deviation=max(devs) if devs else None,
-                    precision_bits=precision_bits,
+                    precision_bits=work,
                 )
         work *= 2
-    raise WeilPolyError("root iteration failed residual certification")
+    raise WeilPolyError("numeric oracle: root iteration failed residual certification")

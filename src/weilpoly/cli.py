@@ -1,7 +1,7 @@
 """Command-line front end: construct, verify, search, report.
 
 Exit codes: 0 success / verification positive, 1 malformed arguments or
-input, 2 invalid parameter tuple, 3 verification negative (the input is not
+input, or a --numeric oracle that fails its certificate, 2 invalid parameter tuple, 3 verification negative (the input is not
 a q-polynomial).  Polynomials are read and written as comma-separated
 decimal coefficients, low degree first ("25,5,1,1,1" is t^4+t^3+t^2+5t+25).
 search writes its reports to --out (default stdout) and its summary line to
@@ -27,7 +27,7 @@ from .engine import (
     search,
     search_summary,
 )
-from .errors import InvalidTuple, NotPrimePower
+from .errors import InvalidTuple, NotPrimePower, WeilPolyError
 from .intpoly import IntPoly
 from .numtheory import is_prime
 
@@ -97,6 +97,9 @@ def cmd_construct(args) -> int:
         for c in exc.failures:
             print(f"  - {c.name} ({c.detail})")
         return EXIT_INVALID_TUPLE
+    except WeilPolyError as exc:  # the numeric oracle failed its certificate
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _print_report(rep)
     return EXIT_OK
 
@@ -114,6 +117,9 @@ def cmd_verify(args) -> int:
         rep = classify((poly, args.q), _options_from(args))
     except NotPrimePower:
         print(f"error: q={args.q} is not a prime power", file=sys.stderr)
+        return EXIT_USAGE
+    except WeilPolyError as exc:  # the numeric oracle failed its certificate
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _print_report(rep)
     return EXIT_OK if rep.is_q_polynomial else EXIT_NEGATIVE

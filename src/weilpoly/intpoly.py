@@ -116,7 +116,10 @@ class IntPoly:
         """Divide out the content; sign fixed so the leading coefficient is > 0."""
         if not self.coeffs:
             return self
-        c = self.content()
+        return self._divide_content(self.content())
+
+    def _divide_content(self, c: int) -> "IntPoly":
+        """Divide by the content c, sign fixed so the leading coefficient is > 0."""
         if self.lc < 0:
             c = -c
         return IntPoly(a // c for a in self.coeffs)
@@ -162,10 +165,13 @@ def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
             break
         top = rem[-1]
         k = dr - db
-        rem = [lb * c for c in rem]
+        if lb != 1:
+            rem = [lb * c for c in rem]
         for j, bc in enumerate(b.coeffs):
             rem[k + j] -= top * bc
         e -= 1
+    if lb == 1 or e == 0:
+        return IntPoly(rem)
     return IntPoly(rem).scale(lb ** e)
 
 
@@ -175,8 +181,9 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
         return b.primitive() if not b.is_zero() else IntPoly(())
     if b.is_zero():
         return a.primitive()
-    cont = int_gcd(a.content(), b.content())
-    a, b = a.primitive(), b.primitive()
+    ca, cb = a.content(), b.content()
+    cont = int_gcd(ca, cb)
+    a, b = a._divide_content(ca), b._divide_content(cb)
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero():

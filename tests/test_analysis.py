@@ -273,6 +273,59 @@ class TestNumericRoots:
         with pytest.raises(ValueError):
             numeric_roots(P(-2, 0, 1), 32)
 
+    def test_reports_the_working_precision(self, monkeypatch):
+        # max(128, 2 + 32) + 32 bits, doubled once by a failed first attempt
+        assert numeric_roots(P(-2, 0, 1), 128).precision_bits == 160
+        polyroots, calls = mpmath.polyroots, []
+
+        def fail_once(*args, **kwargs):
+            calls.append(mpmath.mp.prec)
+            if len(calls) == 1:
+                raise mpmath.libmp.NoConvergence("first attempt")
+            return polyroots(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", fail_once)
+        assert numeric_roots(P(-2, 0, 1), 128).precision_bits == 320
+        assert calls == [160, 320]
+
+    @pytest.mark.parametrize("f, q", [(P(8, 4, 2, 5, 1, 1, 1), 2), (P(25, 5, 1, 1, 1), 5)])
+    def test_seeds_change_no_report(self, monkeypatch, f, q):
+        seeded = numeric_roots(f, 128, q=q)
+        # mpmath's own start points, which it uses when given none
+        monkeypatch.setattr(
+            analysis, "_seed_roots", lambda f: [(0.4 + 0.9j) ** k for k in range(f.degree)]
+        )
+        assert numeric_roots(f, 128, q=q) == seeded
+
+    @pytest.mark.parametrize("point", [0.0, 2.0, 5 ** 0.5])
+    def test_equal_real_seeds_raise(self, monkeypatch, point):
+        # iterates from real start points stay real, so they never reach the
+        # nonreal roots: the oracle raises rather than report some of them
+        monkeypatch.setattr(analysis, "_seed_roots", lambda f: [point] * f.degree)
+        with pytest.raises(WeilPolyError):
+            numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
+
+    @pytest.mark.parametrize("exponent, certified", [(-40, False), (-100, True)])
+    def test_residual_threshold(self, monkeypatch, exponent, certified):
+        # roots moved by 2^exponent relative to their size pass the 2^-64
+        # backward-error bound of 128 bits exactly when the move is below it
+        polyroots = mpmath.polyroots
+        monkeypatch.setattr(
+            mpmath, "polyroots",
+            lambda *a, **k: [z * (1 + mpmath.mpf(2) ** exponent) for z in polyroots(*a, **k)],
+        )
+        if certified:
+            assert numeric_roots(P(25, 5, 1, 1, 1), 128, q=5).max_modulus_deviation < 1e-29
+        else:
+            with pytest.raises(WeilPolyError):
+                numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
+
+    def test_high_degree_binomial(self):
+        # t^64 + 3^32: every root has modulus sqrt(3)
+        rep = numeric_roots(P(3 ** 32, *[0] * 63, 1), q=3)
+        assert len(rep.roots) == 64
+        assert rep.max_modulus_deviation < 1e-20
+
     @given(symmetric_inputs)
     @settings(max_examples=60)
     def test_exact_and_numeric_agree(self, data):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,16 @@ class TestVerify:
         assert code == 1
         assert "prime power" in err
 
+    def test_numeric_oracle_failure_exit_1(self, capsys):
+        # the square of t^4+t^3+t^2+5t+25 has only double roots, which the root
+        # iteration cannot certify; without --numeric it is reported as usual
+        poly = "625,250,75,60,61,12,3,2,1"
+        code, out, err = run(capsys, "verify", "--poly", poly, "--q", "5", "--numeric")
+        assert code == 1 and out == ""
+        assert err == "error: numeric oracle: root iteration failed residual certification\n"
+        code, out, _ = run(capsys, "verify", "--poly", poly, "--q", "5")
+        assert code == 0 and "is_q_polynomial: True" in out
+
 
 class TestSearch:
     def test_deterministic_output(self, capsys, tmp_path):
@@ -129,6 +140,18 @@ class TestSearch:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes()  # nonempty
+
+    def test_numeric_sweep_is_pinned(self, capsys, tmp_path):
+        # 65 tuples; pins the max_modulus_deviation bytes of the numeric oracle
+        path = tmp_path / "numeric.jsonl"
+        code, _, _ = run(
+            capsys, "search", "--rho", "5", "--b", "1,2", "--q-max", "32",
+            "--numeric", "--no-timings", "--out", str(path),
+        )
+        assert code == 0
+        assert len(path.read_text().splitlines()) == 65
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "9e2fc14b7d5d14f56b1d9e1227ec58c36a5fdb0866f8fed6bd0dc4b871f9ab8f"
 
     def test_repeated_list_entries_count_once(self, capsys, tmp_path):
         # --rho, --b and --r are sets: a repeated entry adds no report
