@@ -1,8 +1,9 @@
 """Command-line front end: construct, verify, search, report.
 
 Exit codes: 0 success / verification positive, 1 malformed arguments or
-input, or a --numeric oracle that fails its certificate, 2 invalid parameter tuple, 3 verification negative (the input is not
-a q-polynomial).  Polynomials are read and written as comma-separated
+input, or a --numeric oracle that fails its certificate, 2 invalid parameter
+tuple, 3 verification negative (the input is not a q-polynomial).
+Polynomials are read and written as comma-separated
 decimal coefficients, low degree first ("25,5,1,1,1" is t^4+t^3+t^2+5t+25).
 search writes its reports to --out (default stdout) and its summary line to
 stderr.
