@@ -11,11 +11,11 @@ element p(x) = E(x^2) + x*O(x^2) takes the value E(4q) +/- 2*sqrt(q)*O(4q),
 whose sign is one integer comparison.
 
 The numeric oracle is deliberately independent of the Sturm route and is
-used to cross-check it.  It finds all roots of f by mpmath's Durand-Kerner
-iteration at high precision, started from double-precision roots that
-Aberth's iteration finds in Python complex arithmetic, and certifies each
-root by its backward error.  The start points decide only how many sweeps
-the iteration takes; the certificate does not depend on them.
+used to cross-check it.  It finds all distinct roots of f by Durand-Kerner
+sweeps in fixed-point integer arithmetic at high precision, started from
+double-precision roots that Aberth's iteration finds in Python complex
+arithmetic, and proves in integers that each root has a small backward
+error.  The start points decide only how many sweeps the iteration takes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import cos, isfinite, isqrt, pi, sin
 
 from .errors import WeilPolyError
-from .intpoly import IntPoly, QPolynomial, poly_gcd, pseudo_remainder
+from .intpoly import IntPoly, QPolynomial, poly_gcd, pseudo_remainder, squarefree_part
+from .modpoly import ModPoly, ff_gcd
 from .surd import QuadSurd
 
 
@@ -269,23 +270,15 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
 # -- numeric oracle --------------------------------------------------------------
 
 
-MIN_PRECISION_BITS = 64
-
-
 @dataclass(frozen=True)
 class RootReport:
-    """All complex roots of a polynomial, with modulus diagnostics."""
+    """The distinct complex roots of a polynomial, with modulus diagnostics."""
 
-    roots: tuple[complex, ...]  # sorted by (|imaginary part|, real part, imaginary part)
+    roots: tuple[complex, ...]  # distinct, sorted by (|imaginary part|, real part, imaginary part)
     modulus_deviations: tuple[float, ...] | None
     max_modulus_deviation: float | None
     precision_bits: int  # the working precision at which the certificate passed
-
-
-def default_precision_bits(f: IntPoly) -> int:
-    """Working precision policy: coefficients reach q^g, so scale with them."""
-    m = max((abs(c) for c in f.coeffs), default=1)
-    return max(128, 2 * m.bit_length() + 64)
+    attempts: int  # iterations run, the last at precision_bits
 
 
 def _seed_roots(f: IntPoly) -> list[complex]:
@@ -327,66 +320,83 @@ def _seed_roots(f: IntPoly) -> list[complex]:
     return [z for z in seeds if isfinite(z.real) and isfinite(z.imag)]
 
 
+def _durand_kerner(a: list[int], roots: list[tuple[int, int]], bits: int, tol: int) -> list[tuple[int, int]]:
+    """Durand-Kerner sweeps (Durand 1960; Kerner, Numer. Math. 8, 1966) on the
+    monic p with lower coefficients a, in fixed point: x + iy is the integer
+    pair (x, y) over 2^bits.  Each root z in turn moves by p(z) / d, d the
+    product of the nonzero z - w over the roots w, until every squared move
+    is below tol, for at most 200 sweeps."""
+    one = 1 << bits
+    for _ in range(200):
+        largest = 0
+        for i, (x, y) in enumerate(roots):
+            px, py, dx, dy = one, 0, one, 0
+            for c in reversed(a):
+                px, py = ((px * x - py * y) >> bits) + c, (px * y + py * x) >> bits
+            for u, v in ((x - u, y - v) for u, v in roots if u != x or v != y):
+                dx, dy = (dx * u - dy * v) >> bits, (dx * v + dy * u) >> bits
+            nd = dx * dx + dy * dy
+            if nd:  # else the product underflowed
+                cx, cy = ((px * dx + py * dy) << bits) // nd, ((py * dx - px * dy) << bits) // nd
+                roots[i] = (x - cx, y - cy)
+                largest = max(largest, cx * cx + cy * cy)
+        if largest < tol:
+            break
+    return roots
+
+
+def _residual_certified(a: list[int], z: tuple[int, int], bits: int, half: int) -> bool:
+    """Whether the monic p of _durand_kerner, rounded down to a, has |p(z)| <=
+    2^-half * sum_i |p_i| |z|^i, proved in integers: Horner's fixed-point value
+    plus a bound on its rounding error (under 4 units a step for the floors and
+    a, carried forward by |z|), against a floored lower bound of the sum."""
+    x, y = z
+    lo = isqrt(x * x + y * y)  # lo <= |z| * 2^bits < lo + 1
+    px, py, err, den = 1 << bits, 0, 0, 1 << bits
+    for c in reversed(a):
+        px, py = ((px * x - py * y) >> bits) + c, (px * y + py * x) >> bits
+        err = ((err * (lo + 1)) >> bits) + 4
+        den = ((den * lo) >> bits) + abs(c) - 1  # |c| - 1 <= |p_i| * 2^bits
+    return (isqrt(px * px + py * py) + 1 + err) << half <= den
+
+
 def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None = None) -> RootReport:
-    """All complex roots by simultaneous iteration at high working precision.
-
-    mpmath's Durand-Kerner iteration (mpmath.polyroots) starts from the
-    double-precision roots of _seed_roots, so it needs only a few sweeps at
-    the working precision; the seeds affect its speed, not what it certifies.
-    mpmath is imported here, so only the numeric oracle loads it.  Residuals
-    are certified: every root z must have relative backward error
-    |f(z)| / sum_i |f_i| |z|^i below 2^(-precision_bits/2), else the working
-    precision is doubled and the iteration retried; WeilPolyError is raised
-    after the retry cap.  The report's precision_bits is the working
-    precision at which the certificate passed.  When q is supplied the
-    report carries | |z| - sqrt(q) | / sqrt(q) for every root.
-    """
-    import mpmath
-
+    """All distinct roots of f by _durand_kerner on the radical r of f (its
+    sweeps stall on a cluster of equal roots) at 3/2 of the working precision,
+    from _seed_roots, which change the number of sweeps, not the report.  Each
+    root z, rounded to a multiple of 2^-work, must pass |r(z)| <=
+    2^(-precision_bits/2) * sum_i |r_i| |z|^i, else the working precision
+    doubles; WeilPolyError is raised after four attempts."""
     if f.degree < 1:
         raise ValueError("numeric_roots expects a nonconstant polynomial")
-    if precision_bits is None:
-        precision_bits = default_precision_bits(f)
-    if precision_bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
     maxbit = max(abs(c) for c in f.coeffs).bit_length()
+    if precision_bits is None:  # coefficients reach q^g, so scale with them
+        precision_bits = max(128, 2 * maxbit + 64)
+    if precision_bits < 64:
+        raise ValueError("precision_bits must be >= 64")
     work = max(precision_bits, maxbit + 32) + 32
-    coeffs_desc = list(reversed(f.coeffs))
-    threshold_exp = -(precision_bits // 2)
-    seeds = _seed_roots(f)
-    for attempt in range(4):
-        with mpmath.workprec(work):
-            try:
-                roots = mpmath.polyroots(
-                    coeffs_desc, maxsteps=200, extraprec=work // 2, cleanup=True,
-                    roots_init=seeds,
-                )
-            except mpmath.libmp.NoConvergence:
-                work *= 2
-                continue
-            ok = True
-            abs_coeffs = [abs(mpmath.mpf(c)) for c in coeffs_desc]
-            for z in roots:
-                num = abs(mpmath.polyval(coeffs_desc, z))
-                r, den = abs(z), mpmath.mpf(0)
-                for a in abs_coeffs:  # sum_i |f_i| |z|^i by Horner
-                    den = den * r + a
-                if num > den * mpmath.mpf(2) ** threshold_exp:
-                    ok = False
-                    break
-            if ok:
-                # polyroots leaves each conjugate pair in the order the start
-                # points gave it; order them by imaginary part, too
-                roots.sort(key=lambda z: (abs(z.imag), z.real, z.imag))
-                devs = None
-                if q is not None:
-                    sq = mpmath.sqrt(q)
-                    devs = tuple(float(abs(abs(z) - sq) / sq) for z in roots)
-                return RootReport(
-                    roots=tuple(complex(z) for z in roots),
-                    modulus_deviations=devs,
-                    max_modulus_deviation=max(devs) if devs else None,
-                    precision_bits=work,
-                )
+    # f mod a prime, squarefree and of f's degree, proves f squarefree without
+    # the coefficient growth of the gcd over Z
+    fp, dp = (ModPoly.from_intpoly(g, 2**61 - 1) for g in (f, f.derivative()))
+    r = f if fp.degree == f.degree and ff_gcd(fp, dp).degree == 0 else squarefree_part(f)
+    seeds = _seed_roots(r)
+    seeds += [(0.4 + 0.9j) ** k for k in range(len(seeds), r.degree)]  # mpmath's start points
+    for attempt in range(1, 5):
+        bits, s = work + work // 2, work // 2  # s guard bits
+        one = 1 << bits
+        a = [(c << bits) // r.lc for c in r.coeffs[:-1]]
+        start = [tuple(int(Fraction(t) * one) for t in (z.real, z.imag)) for z in map(complex, seeds)]
+        # the guard bits hold rounding noise, which would make the report depend
+        # on the seeds; like mpmath's cleanup, rounding zeroes parts below 2^-work/2
+        roots = [((x + (1 << s - 1)) >> s << s, (y + (1 << s - 1)) >> s << s)
+                 for x, y in _durand_kerner(a, start, bits, 1 << 2 * s)]
+        if all(_residual_certified(a, z, bits, precision_bits // 2) for z in roots):
+            roots.sort(key=lambda z: (abs(z[1]), z[0], z[1]))
+            zs = tuple(complex(x / one, y / one) for x, y in roots)
+            devs = None if q is None else tuple(  # | |z|^2 - q | = | |z| - sqrt(q) | (|z| + sqrt(q))
+                abs(x * x + y * y - (q << 2 * bits)) / one**2 / (q**0.5 * (abs(z) + q**0.5))
+                for (x, y), z in zip(roots, zs)
+            )
+            return RootReport(zs, devs, max(devs) if devs else None, work, attempt)
         work *= 2
     raise WeilPolyError("numeric oracle: root iteration failed residual certification")

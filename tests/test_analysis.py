@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weilpoly import analysis
@@ -275,23 +275,31 @@ class TestNumericRoots:
 
     def test_reports_the_working_precision(self, monkeypatch):
         # max(128, 2 + 32) + 32 bits, doubled once by a failed first attempt
-        assert numeric_roots(P(-2, 0, 1), 128).precision_bits == 160
-        polyroots, calls = mpmath.polyroots, []
+        rep = numeric_roots(P(-2, 0, 1), 128)
+        assert (rep.precision_bits, rep.attempts) == (160, 1)
+        durand_kerner, calls = analysis._durand_kerner, []
 
-        def fail_once(*args, **kwargs):
-            calls.append(mpmath.mp.prec)
-            if len(calls) == 1:
-                raise mpmath.libmp.NoConvergence("first attempt")
-            return polyroots(*args, **kwargs)
+        def fail_once(a, roots, bits, tol):
+            calls.append(bits)
+            roots = durand_kerner(a, roots, bits, tol)
+            return [(x + (x >> 20), y) for x, y in roots] if len(calls) == 1 else roots
 
-        monkeypatch.setattr(mpmath, "polyroots", fail_once)
-        assert numeric_roots(P(-2, 0, 1), 128).precision_bits == 320
-        assert calls == [160, 320]
+        monkeypatch.setattr(analysis, "_durand_kerner", fail_once)
+        rep = numeric_roots(P(-2, 0, 1), 128)
+        assert (rep.precision_bits, rep.attempts) == (320, 2)
+        assert calls == [240, 480]  # the iteration runs at 3/2 of the working precision
 
-    @pytest.mark.parametrize("f, q", [(P(8, 4, 2, 5, 1, 1, 1), 2), (P(25, 5, 1, 1, 1), 5)])
+    def test_repeated_roots_certify_once_each(self):
+        # the square of t^4+t^3+t^2+5t+25: the iteration runs on its radical
+        square = P(625, 250, 75, 60, 61, 12, 3, 2, 1)
+        rep = numeric_roots(square, q=5)
+        assert rep.attempts == 1 and rep.max_modulus_deviation < 1e-20
+        assert rep.roots == numeric_roots(P(25, 5, 1, 1, 1), q=5).roots
+
+    @pytest.mark.parametrize("f, q", [(P(8, 4, 2, 5, 1, 1, 1), 2), (P(25, 5, 1, 1, 1), 5), (P(4, 2, 1), 4)])
     def test_seeds_change_no_report(self, monkeypatch, f, q):
         seeded = numeric_roots(f, 128, q=q)
-        # mpmath's own start points, which it uses when given none
+        # mpmath's start points, which pad the seeds when _seed_roots finds too few
         monkeypatch.setattr(
             analysis, "_seed_roots", lambda f: [(0.4 + 0.9j) ** k for k in range(f.degree)]
         )
@@ -309,16 +317,68 @@ class TestNumericRoots:
     def test_residual_threshold(self, monkeypatch, exponent, certified):
         # roots moved by 2^exponent relative to their size pass the 2^-64
         # backward-error bound of 128 bits exactly when the move is below it
-        polyroots = mpmath.polyroots
+        durand_kerner = analysis._durand_kerner
         monkeypatch.setattr(
-            mpmath, "polyroots",
-            lambda *a, **k: [z * (1 + mpmath.mpf(2) ** exponent) for z in polyroots(*a, **k)],
+            analysis, "_durand_kerner",
+            lambda *args: [(x + (x >> -exponent), y + (y >> -exponent)) for x, y in durand_kerner(*args)],
         )
         if certified:
             assert numeric_roots(P(25, 5, 1, 1, 1), 128, q=5).max_modulus_deviation < 1e-29
         else:
             with pytest.raises(WeilPolyError):
                 numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(0, 5),
+        st.integers(-2, 2), st.integers(-2, 2), st.integers(2, 10), st.integers(0, 16),
+    )
+    @example([1, 4, 7, -7, -3], 4, 1, 0, 8, 11)
+    @example([3, 5, -4, 6, -7], 0, -2, -2, 8, 8)
+    @example([-5, 5, 0, 4, -9, -6], 3, 0, 0, 4, 10)
+    @settings(max_examples=300)
+    def test_residual_certificate_is_sound(self, coeffs, k, dx, dy, bits, half):
+        # near a root of the monic t^n + coeffs, at a coarse fixed point, the
+        # Horner value alone can come out near 0 while the exact residual is
+        # large; the rounding-error bound keeps such a z from passing
+        seeds = analysis._seed_roots(P(*coeffs, 1))
+        assume(seeds)
+        w = seeds[k % len(seeds)]
+        x, y = round(w.real * 2 ** bits) + dx, round(w.imag * 2 ** bits) + dy
+        if analysis._residual_certified([c << bits for c in coeffs], (x, y), bits, half):
+            with mpmath.workprec(200):
+                z = mpmath.mpc(x, y) / 2 ** bits
+                value = mpmath.polyval([1] + coeffs[::-1], z)
+                size = mpmath.polyval([1] + [abs(c) for c in coeffs[::-1]], abs(z))
+                assert abs(value) * 2 ** half <= size
+
+    @given(symmetric_inputs)
+    @settings(max_examples=40)
+    def test_roots_match_mpmath(self, data):
+        # mpmath's Durand-Kerner iteration as an independent oracle: the
+        # fixed-point roots of the certified attempt match its roots within 2^-100
+        g, q, upper = data
+        f = symmetric_poly(g, q, upper[:g]).poly
+        assume(squarefree_part(f).degree == f.degree)
+        durand_kerner, runs = analysis._durand_kerner, []
+
+        def spy(a, roots, bits, tol):
+            roots = durand_kerner(a, roots, bits, tol)
+            runs.append((list(roots), bits))
+            return roots
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_durand_kerner", spy)
+            numeric_roots(f, 128)
+        ours, bits = runs[-1]  # the certified attempt
+        with mpmath.workprec(bits):
+            theirs = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=200, extraprec=bits)
+            unmatched = list(theirs)
+            for x, y in ours:
+                z = mpmath.mpc(mpmath.mpf(x) / 2 ** bits, mpmath.mpf(y) / 2 ** bits)
+                w = min(unmatched, key=lambda w: abs(z - w))
+                assert abs(z - w) <= abs(w) * mpmath.mpf(2) ** -100
+                unmatched.remove(w)
+        assert unmatched == []
 
     def test_high_degree_binomial(self):
         # t^64 + 3^32: every root has modulus sqrt(3)

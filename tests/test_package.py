@@ -105,11 +105,13 @@ def test_package_root_imports_nothing():
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # mpmath is loaded by the numeric oracle and the process pool by a
-    # multi-worker search, each only when it runs
+    # the process pool is loaded by a multi-worker search, only when it runs;
+    # the numeric oracle computes in integers and never loads mpmath
     code = (
         "import sys, weilpoly.cli; "
-        "print([m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules])"
+        "code = weilpoly.cli.main(['construct', '--rho', '5', '--b', '1', '--r', '2', "
+        "'--p', '5', '--n', '1', '--m', '0', '--numeric']); "
+        "print(code, [m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules])"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -119,7 +121,7 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 # the defs in src/ that no src/ caller reaches, each with the reason it stays
