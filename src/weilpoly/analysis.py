@@ -14,8 +14,9 @@ The numeric oracle is deliberately independent of the Sturm route and is
 used to cross-check it.  It finds all distinct roots of f by Durand-Kerner
 sweeps in fixed-point integer arithmetic at high precision, started from
 double-precision roots that Aberth's iteration finds in Python complex
-arithmetic, and proves in integers that each root has a small backward
-error.  The start points decide only how many sweeps the iteration takes.
+arithmetic.  It accepts as many distinct roots as the radical's degree, each
+with a backward error bounded in integer arithmetic.  The start points
+decide only how many sweeps the iteration takes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from math import cos, isfinite, isqrt, pi, sin
 
 from .errors import WeilPolyError
 from .intpoly import IntPoly, QPolynomial, poly_gcd, pseudo_remainder, squarefree_part
-from .modpoly import ModPoly, ff_gcd
 from .surd import QuadSurd
 
 
@@ -320,19 +320,24 @@ def _seed_roots(f: IntPoly) -> list[complex]:
     return [z for z in seeds if isfinite(z.real) and isfinite(z.imag)]
 
 
+def _fixed_horner(a: list[int], x: int, y: int, bits: int) -> tuple[int, int]:
+    """2^bits * p((x + iy) / 2^bits), p monic with lower coefficients a, by Horner with floored products."""
+    px, py = 1 << bits, 0
+    for c in reversed(a):
+        px, py = ((px * x - py * y) >> bits) + c, (px * y + py * x) >> bits
+    return px, py
+
+
 def _durand_kerner(a: list[int], roots: list[tuple[int, int]], bits: int, tol: int) -> list[tuple[int, int]]:
     """Durand-Kerner sweeps (Durand 1960; Kerner, Numer. Math. 8, 1966) on the
     monic p with lower coefficients a, in fixed point: x + iy is the integer
     pair (x, y) over 2^bits.  Each root z in turn moves by p(z) / d, d the
     product of the nonzero z - w over the roots w, until every squared move
     is below tol, for at most 200 sweeps."""
-    one = 1 << bits
     for _ in range(200):
         largest = 0
         for i, (x, y) in enumerate(roots):
-            px, py, dx, dy = one, 0, one, 0
-            for c in reversed(a):
-                px, py = ((px * x - py * y) >> bits) + c, (px * y + py * x) >> bits
+            (px, py), dx, dy = _fixed_horner(a, x, y, bits), 1 << bits, 0
             for u, v in ((x - u, y - v) for u, v in roots if u != x or v != y):
                 dx, dy = (dx * u - dy * v) >> bits, (dx * v + dy * u) >> bits
             nd = dx * dx + dy * dy
@@ -347,14 +352,12 @@ def _durand_kerner(a: list[int], roots: list[tuple[int, int]], bits: int, tol: i
 
 def _residual_certified(a: list[int], z: tuple[int, int], bits: int, half: int) -> bool:
     """Whether the monic p of _durand_kerner, rounded down to a, has |p(z)| <=
-    2^-half * sum_i |p_i| |z|^i, proved in integers: Horner's fixed-point value
-    plus a bound on its rounding error (under 4 units a step for the floors and
-    a, carried forward by |z|), against a floored lower bound of the sum."""
-    x, y = z
-    lo = isqrt(x * x + y * y)  # lo <= |z| * 2^bits < lo + 1
-    px, py, err, den = 1 << bits, 0, 0, 1 << bits
+    2^-half * sum_i |p_i| |z|^i, proved in integers: _fixed_horner's value plus
+    a bound on its rounding error (under 4 units a step for the floors and a,
+    carried forward by |z|), against a floored lower bound of the sum."""
+    lo = isqrt(z[0] ** 2 + z[1] ** 2)  # lo <= |z| * 2^bits < lo + 1
+    (px, py), err, den = _fixed_horner(a, *z, bits), 0, 1 << bits
     for c in reversed(a):
-        px, py = ((px * x - py * y) >> bits) + c, (px * y + py * x) >> bits
         err = ((err * (lo + 1)) >> bits) + 4
         den = ((den * lo) >> bits) + abs(c) - 1  # |c| - 1 <= |p_i| * 2^bits
     return (isqrt(px * px + py * py) + 1 + err) << half <= den
@@ -363,10 +366,10 @@ def _residual_certified(a: list[int], z: tuple[int, int], bits: int, half: int) 
 def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None = None) -> RootReport:
     """All distinct roots of f by _durand_kerner on the radical r of f (its
     sweeps stall on a cluster of equal roots) at 3/2 of the working precision,
-    from _seed_roots, which change the number of sweeps, not the report.  Each
-    root z, rounded to a multiple of 2^-work, must pass |r(z)| <=
-    2^(-precision_bits/2) * sum_i |r_i| |z|^i, else the working precision
-    doubles; WeilPolyError is raised after four attempts."""
+    from _seed_roots, which change the number of sweeps, not the report.  The
+    roots, rounded to multiples of 2^-work, must be deg r distinct points z,
+    each with |r(z)| <= 2^(-precision_bits/2) * sum_i |r_i| |z|^i, else the
+    working precision doubles; WeilPolyError is raised after four attempts."""
     if f.degree < 1:
         raise ValueError("numeric_roots expects a nonconstant polynomial")
     maxbit = max(abs(c) for c in f.coeffs).bit_length()
@@ -375,10 +378,7 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     work = max(precision_bits, maxbit + 32) + 32
-    # f mod a prime, squarefree and of f's degree, proves f squarefree without
-    # the coefficient growth of the gcd over Z
-    fp, dp = (ModPoly.from_intpoly(g, 2**61 - 1) for g in (f, f.derivative()))
-    r = f if fp.degree == f.degree and ff_gcd(fp, dp).degree == 0 else squarefree_part(f)
+    r = squarefree_part(f)
     seeds = _seed_roots(r)
     seeds += [(0.4 + 0.9j) ** k for k in range(len(seeds), r.degree)]  # mpmath's start points
     for attempt in range(1, 5):
@@ -390,7 +390,7 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
         # on the seeds; like mpmath's cleanup, rounding zeroes parts below 2^-work/2
         roots = [((x + (1 << s - 1)) >> s << s, (y + (1 << s - 1)) >> s << s)
                  for x, y in _durand_kerner(a, start, bits, 1 << 2 * s)]
-        if all(_residual_certified(a, z, bits, precision_bits // 2) for z in roots):
+        if len(set(roots)) == r.degree and all(_residual_certified(a, z, bits, precision_bits // 2) for z in roots):
             roots.sort(key=lambda z: (abs(z[1]), z[0], z[1]))
             zs = tuple(complex(x / one, y / one) for x, y in roots)
             devs = None if q is None else tuple(  # | |z|^2 - q | = | |z| - sqrt(q) | (|z| + sqrt(q))

@@ -313,6 +313,19 @@ class TestNumericRoots:
         with pytest.raises(WeilPolyError):
             numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
 
+    def test_merged_roots_raise(self, monkeypatch):
+        # two iterates on one point pass their residual checks but leave a
+        # root unreported, so the attempt fails
+        durand_kerner = analysis._durand_kerner
+
+        def merge(*args):
+            roots = durand_kerner(*args)
+            return roots[:1] + roots[:-1]
+
+        monkeypatch.setattr(analysis, "_durand_kerner", merge)
+        with pytest.raises(WeilPolyError):
+            numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
+
     @pytest.mark.parametrize("exponent, certified", [(-40, False), (-100, True)])
     def test_residual_threshold(self, monkeypatch, exponent, certified):
         # roots moved by 2^exponent relative to their size pass the 2^-64
