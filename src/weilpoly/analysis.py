@@ -23,23 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, isfinite, isqrt, pi, sin
+from math import cos, inf, isfinite, isinf, isqrt, pi, sin
 
 from .errors import WeilPolyError
 from .intpoly import IntPoly, QPolynomial, poly_gcd, pseudo_remainder, squarefree_part
 from .surd import QuadSurd
-
-
-class _Infinity:
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __repr__(self):
-        return "+inf" if self.sign > 0 else "-inf"
-
-
-NEG_INF = _Infinity(-1)
-POS_INF = _Infinity(1)
 
 
 def real_weil_transform(f: QPolynomial) -> IntPoly:
@@ -104,13 +92,13 @@ def _horner(coeffs, x: int) -> int:
 
 
 def _sign_at(p: IntPoly, point) -> int:
-    """Exact sign of p at a Fraction, +/- infinity, or a QuadSurd that is an
+    """Exact sign of p at a Fraction, +/- math.inf, or a QuadSurd that is an
     integer a or an integer multiple b*sqrt(D)."""
-    if isinstance(point, _Infinity):
+    if isinstance(point, float) and isinf(point):
         if p.is_zero():
             return 0
         s = 1 if p.lc > 0 else -1
-        if point.sign < 0 and p.degree % 2 == 1:
+        if point < 0 and p.degree % 2 == 1:
             s = -s
         return s
     if isinstance(point, QuadSurd):
@@ -141,7 +129,7 @@ def _variations(chain: list[IntPoly], point) -> int:
 
 def count_between(chain: list[IntPoly], lo, hi) -> int:
     """Number of distinct real roots in (lo, hi] of h = chain[0], where chain
-    is sturm_chain(h) and lo < hi are QuadSurds, Fractions or +/- infinity.
+    is sturm_chain(h) and lo < hi are QuadSurds, Fractions or +/- math.inf.
 
     Raises ValueError if h is not squarefree (the chain ends in a
     nonconstant gcd(h, h')), or if h vanishes at lo or hi.
@@ -179,7 +167,7 @@ def _isolate_root_above(chain: list[IntPoly], q: int, above: int) -> tuple[Fract
         z = Fraction(isqrt(4 * q * 4 ** k) + 1, 2 ** k)
         if _sign_at(h, z) == 0:
             return z, z
-        if count_between(chain, z, POS_INF) == above:
+        if count_between(chain, z, inf) == above:
             break
         if k >= bits:
             raise WeilPolyError("no rational cut below the roots above 2*sqrt(q)")
@@ -239,7 +227,7 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
     inside = v_lo - v_hi
     if inside == h0.degree:
         return ModulusCheckResult(passed=True)
-    v_neg_inf, v_pos_inf = _variations(chain, NEG_INF), _variations(chain, POS_INF)
+    v_neg_inf, v_pos_inf = _variations(chain, -inf), _variations(chain, inf)
     total_real = v_neg_inf - v_pos_inf
     if total_real > inside:
         above = v_hi - v_pos_inf

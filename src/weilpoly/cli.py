@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from typing import Iterable
 
 from .engine import (
@@ -26,7 +27,6 @@ from .engine import (
     SearchRange,
     classify,
     search,
-    search_summary,
 )
 from .errors import InvalidTuple, NotPrimePower, WeilPolyError
 from .intpoly import IntPoly
@@ -98,9 +98,6 @@ def cmd_construct(args) -> int:
         for c in exc.failures:
             print(f"  - {c.name} ({c.detail})")
         return EXIT_INVALID_TUPLE
-    except WeilPolyError as exc:  # the numeric oracle failed its certificate
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     _print_report(rep)
     return EXIT_OK
 
@@ -119,22 +116,22 @@ def cmd_verify(args) -> int:
     except NotPrimePower:
         print(f"error: q={args.q} is not a prime power", file=sys.stderr)
         return EXIT_USAGE
-    except WeilPolyError as exc:  # the numeric oracle failed its certificate
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     _print_report(rep)
     return EXIT_OK if rep.is_q_polynomial else EXIT_NEGATIVE
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
+    values = tuple(int(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise ValueError(f"--{flag} has no entries")
+    return values
 
 
 def cmd_search(args) -> int:
     try:
-        rhos = _parse_int_list(args.rho)
-        bs = _parse_int_list(args.b)
-        rs = None if args.r == "least" else _parse_int_list(args.r)
+        rhos = _parse_int_list("rho", args.rho)
+        bs = _parse_int_list("b", args.b)
+        rs = None if args.r == "least" else _parse_int_list("r", args.r)
     except ValueError as exc:
         print(f"error: bad range: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -158,24 +155,22 @@ def cmd_search(args) -> int:
         print(f"error: cannot open output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    def written(reports):
-        """Each report, once it is written out: no report is kept."""
-        for rep in reports:
-            if args.format == "csv":
-                writer.writerow(rep.to_csv_row())
-            else:
-                out.write(rep.to_json_line(include_timings) + "\n")
-            yield rep
-
+    tally = _Tally()
     try:
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(CSV_FIELDS)
-        summary = search_summary(written(search(rng, options, workers=args.workers)))
+        for rep in search(rng, options, workers=args.workers):
+            row = rep.to_json_dict(include_timings)
+            if args.format == "csv":
+                writer.writerow(rep.to_csv_row())
+            else:
+                out.write(json.dumps(row) + "\n")
+            tally.add(row)
     finally:
         if args.out:
             out.close()
-    print(" ".join(f"{k}={v}" for k, v in summary.items()), file=sys.stderr)
+    print(tally.summary(), file=sys.stderr)
     return EXIT_OK
 
 
@@ -193,10 +188,44 @@ def _row_error(row) -> str | None:
     return None
 
 
-def _report_groups(path: str) -> dict[tuple, dict]:
+class _Tally:
+    """Running counts over report rows (JSON objects), each row folded in as
+    it arrives so that no row is kept: search keeps one for its summary line,
+    report one per (rho, b)."""
+
+    def __init__(self):
+        self.tuples = self.q_polynomial = self.ordinary = self.simple = self.ll_passed = 0
+        self.verdicts = Counter()  # absolutely_simple; a certified no with its witness
+        self.max_dev = None
+
+    def add(self, row: dict) -> None:
+        self.tuples += 1
+        self.q_polynomial += bool(row.get("is_q_polynomial"))
+        self.ordinary += row.get("ordinary") is True
+        self.simple += row.get("simple") is True
+        self.ll_passed += row.get("ll_passed") is True
+        verdict = row.get("absolutely_simple") or "not_evaluated"
+        if verdict == "certified_no" and row.get("witness_d") is not None:
+            verdict = f"certified_no(d={row['witness_d']})"
+        self.verdicts[verdict] += 1
+        dev = row.get("max_modulus_deviation")
+        if dev is not None:
+            self.max_dev = dev if self.max_dev is None else max(self.max_dev, dev)
+
+    def summary(self) -> str:
+        no = sum(n for verdict, n in self.verdicts.items() if verdict.startswith("certified_no"))
+        return (
+            f"tuples={self.tuples} q_polynomial={self.q_polynomial} ordinary={self.ordinary} "
+            f"simple={self.simple} absolutely_simple_yes={self.verdicts['certified_yes']} "
+            f"absolutely_simple_no={no} absolutely_simple_inconclusive={self.verdicts['inconclusive']} "
+            f"ll_passed={self.ll_passed}"
+        )
+
+
+def _report_groups(path: str) -> dict[tuple, _Tally]:
     """The per-(rho, b) tallies of a JSONL file, each row folded in as it is
     read, so no row is kept; ValueError names a bad line."""
-    groups: dict[tuple, dict] = {}
+    groups: dict[tuple, _Tally] = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -209,23 +238,7 @@ def _report_groups(path: str) -> dict[tuple, dict]:
             if error:
                 raise ValueError(f"line {number}: {error}")
             t = row.get("tuple") or {}
-            key = (t.get("rho", "-"), t.get("b", "-"))
-            grp = groups.setdefault(
-                key,
-                {"count": 0, "q_poly": 0, "ordinary": 0, "simple": 0,
-                 "abs": {}, "max_dev": None},
-            )
-            grp["count"] += 1
-            grp["q_poly"] += bool(row.get("is_q_polynomial"))
-            grp["ordinary"] += row.get("ordinary") is True
-            grp["simple"] += row.get("simple") is True
-            verdict = row.get("absolutely_simple") or "not_evaluated"
-            if verdict == "certified_no" and row.get("witness_d") is not None:
-                verdict = f"certified_no(d={row['witness_d']})"
-            grp["abs"][verdict] = grp["abs"].get(verdict, 0) + 1
-            dev = row.get("max_modulus_deviation")
-            if dev is not None:
-                grp["max_dev"] = dev if grp["max_dev"] is None else max(grp["max_dev"], dev)
+            groups.setdefault((t.get("rho", "-"), t.get("b", "-")), _Tally()).add(row)
     return groups
 
 
@@ -240,11 +253,11 @@ def cmd_report(args) -> int:
     print("-" * len(header))
     for key in sorted(groups, key=lambda k: (str(k[0]), str(k[1]))):
         grp = groups[key]
-        abs_desc = ", ".join(f"{k}:{v}" for k, v in sorted(grp["abs"].items()))
-        dev = "-" if grp["max_dev"] is None else f"{grp['max_dev']:.2e}"
+        abs_desc = ", ".join(f"{k}:{v}" for k, v in sorted(grp.verdicts.items()))
+        dev = "-" if grp.max_dev is None else f"{grp.max_dev:.2e}"
         print(
-            f"{key[0]:>5} {key[1]:>3} {grp['count']:>6} {grp['q_poly']:>7} "
-            f"{grp['ordinary']:>9} {grp['simple']:>7} {dev:>10}  {abs_desc}"
+            f"{key[0]:>5} {key[1]:>3} {grp.tuples:>6} {grp.q_polynomial:>7} "
+            f"{grp.ordinary:>9} {grp.simple:>7} {dev:>10}  {abs_desc}"
         )
     return EXIT_OK
 
@@ -297,7 +310,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except WeilPolyError as exc:  # say, a --numeric oracle that fails its certificate
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import analysis
 from .errors import InvalidTuple, NotPrimePower, ShapeMismatch
@@ -283,9 +282,6 @@ class ClassificationReport:
             out["timings_ms"] = {k: round(v, 3) for k, v in self.timings_ms.items()}
         return out
 
-    def to_json_line(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timings), sort_keys=False)
-
     def to_csv_row(self) -> list[str]:
         d = self.to_json_dict(include_timings=False)
         t = d["tuple"] or {}
@@ -474,29 +470,3 @@ def _classify_if_valid(t: ParamTuple, options: ClassifyOptions) -> Classificatio
     """classify(t), or None for an invalid t; validates t once."""
     checks = validate_tuple(t)
     return classify(t, options, checks) if all(c.passed for c in checks) else None
-
-
-def search_summary(reports: Iterable[ClassificationReport]) -> dict:
-    counts = {
-        "tuples": 0,
-        "q_polynomial": 0,
-        "ordinary": 0,
-        "simple": 0,
-        "absolutely_simple_yes": 0,
-        "absolutely_simple_no": 0,
-        "absolutely_simple_inconclusive": 0,
-        "ll_passed": 0,
-    }
-    for rep in reports:
-        counts["tuples"] += 1
-        counts["q_polynomial"] += bool(rep.is_q_polynomial)
-        counts["ordinary"] += rep.ordinary is True
-        counts["simple"] += rep.simple is True
-        counts["ll_passed"] += rep.ll_passed is True
-        if rep.absolutely_simple == "certified_yes":
-            counts["absolutely_simple_yes"] += 1
-        elif rep.absolutely_simple == "certified_no":
-            counts["absolutely_simple_no"] += 1
-        elif rep.absolutely_simple == "inconclusive":
-            counts["absolutely_simple_inconclusive"] += 1
-    return counts

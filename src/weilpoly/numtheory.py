@@ -1,4 +1,4 @@
-"""Elementary number theory: primality, prime powers, totients, orders.
+"""Elementary number theory: primality, prime powers, totients, primitive roots.
 
 Everything here is exact integer arithmetic on Python ints.  Primality is
 deterministic for inputs below 3.3e24 (fixed Miller-Rabin witness set); above
@@ -125,30 +125,15 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def multiplicative_order(r: int, n: int) -> int:
-    """Least e >= 1 with r^e = 1 mod n; requires gcd(r, n) = 1, n >= 2.
-
-    Computed by exponent descent from phi(n) through its prime factors.
-    """
-    if n < 2:
-        raise ValueError("multiplicative_order expects n >= 2")
-    r %= n
-    if math.gcd(r, n) != 1:
-        raise ValueError(f"gcd({r}, {n}) > 1")
-    e = euler_phi(n)
-    for p in factorize(e):
-        while e % p == 0 and pow(r, e // p, n) == 1:
-            e //= p
-    return e
-
-
 def is_primitive_root_mod(r: int, n: int) -> bool:
-    """True iff r generates the full unit group mod n."""
+    """True iff r generates the full unit group mod n: gcd(r, n) = 1 and
+    r^(phi/l) != 1 mod n for each prime l dividing phi = phi(n)."""
     if n < 2:
         raise ValueError("is_primitive_root_mod expects n >= 2")
     if math.gcd(r, n) != 1:
         return False
-    return multiplicative_order(r, n) == euler_phi(n)
+    phi = euler_phi(n)
+    return all(pow(r, phi // ell, n) != 1 for ell in factorize(phi))
 
 
 def least_prime_primitive_root(n: int) -> int | None:

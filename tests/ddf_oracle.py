@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from sympy.ntheory import n_order
+
 from weilpoly.intpoly import cyclotomic
 from weilpoly.modpoly import ModPoly, ff_gcd, powmod
-from weilpoly.numtheory import euler_phi, multiplicative_order
+from weilpoly.numtheory import euler_phi
 
 
 def derivative(f: ModPoly) -> ModPoly:
@@ -74,6 +76,6 @@ def guerrier_check(n: int, r: int) -> bool:
     if n % r == 0:
         raise ValueError(f"{r} divides {n}")
     phi = euler_phi(n)
-    order = multiplicative_order(r, n) if n >= 2 else 1
+    order = n_order(r, n) if n >= 2 else 1
     profile = distinct_degree_profile(ModPoly.from_intpoly(cyclotomic(n), r))
     return profile.entries == ((order, phi // order),)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -11,8 +12,6 @@ from hypothesis import strategies as st
 
 from weilpoly import analysis
 from weilpoly.analysis import (
-    NEG_INF,
-    POS_INF,
     _isolate_root_above,
     count_between,
     exact_modulus_check,
@@ -49,7 +48,7 @@ def eval_fraction(f, x):
 
 
 def real_root_count(h):
-    return count_between(sturm_chain(h), NEG_INF, POS_INF)
+    return count_between(sturm_chain(h), -math.inf, math.inf)
 
 
 def symmetric_poly(g, q, upper):
@@ -154,7 +153,7 @@ class TestSturmCounting:
         signs = [sympy.sign(sympy.expand(r ** 2 - 4 * q)) for r in roots]
         assert set(signs) <= {-1, 0, 1}
         chain = sturm_chain(squarefree_part(h))
-        assert count_between(chain, NEG_INF, POS_INF) == len(roots)
+        assert count_between(chain, -math.inf, math.inf) == len(roots)
         edge = QuadSurd(q, 0, 2)
         if 0 in signs:
             with pytest.raises(ValueError, match="h vanishes at an interval endpoint"):

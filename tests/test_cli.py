@@ -131,6 +131,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--poly", poly, "--q", "5")
         assert code == 0 and "is_q_polynomial: True" in out
 
+    def test_search_numeric_oracle_failure_exit_1(self, capsys, monkeypatch, tmp_path):
+        # the same failure from the second tuple on: the sweep keeps the
+        # report it wrote, prints one error line and no summary, and exits 1
+        full, partial = tmp_path / "full.jsonl", tmp_path / "partial.jsonl"
+        argv = ("search", "--rho", "5", "--q-max", "11", "--numeric", "--no-timings", "--out")
+        assert run(capsys, *argv, str(full))[0] == 0
+        seeds, calls = analysis._seed_roots, []
+
+        def seeds_then_equal_reals(f):
+            calls.append(f)
+            return seeds(f) if len(calls) == 1 else [2.0] * f.degree
+
+        monkeypatch.setattr(analysis, "_seed_roots", seeds_then_equal_reals)
+        code, out, err = run(capsys, *argv, str(partial))
+        assert code == 1 and out == ""
+        assert err == "error: numeric oracle: root iteration failed residual certification\n"
+        assert partial.read_text() == full.read_text().splitlines(keepends=True)[0]
+
 
 class TestSearch:
     def test_deterministic_output(self, capsys, tmp_path):
@@ -161,6 +179,33 @@ class TestSearch:
         assert all(row.pop("max_modulus_deviation") < 1e-40 for row in rows)
         rest = "".join(json.dumps(row) + "\n" for row in rows).encode()
         assert hashlib.sha256(rest).hexdigest() == "2f9f3c5fce48a8bbd400a3fa2d97b29e7d992cfb15bb4f77c3c3b692a7f9c5b7"
+
+    @pytest.mark.parametrize(
+        "flags, summary, table_digest",
+        [
+            pytest.param(
+                ("--rho", "5,7", "--b", "1,2", "--q-max", "64"),
+                "tuples=170 q_polynomial=170 ordinary=170 simple=170 absolutely_simple_yes=56 "
+                "absolutely_simple_no=86 absolutely_simple_inconclusive=28 ll_passed=170",
+                "e27b086082633745cbe5eb0bd32bec0b37ffd10eaffe56b7825f662236fb5ce6",
+                id="headline",
+            ),
+            pytest.param(
+                ("--rho", "5", "--b", "1,2", "--q-max", "32", "--numeric"),
+                "tuples=65 q_polynomial=65 ordinary=65 simple=65 absolutely_simple_yes=32 "
+                "absolutely_simple_no=33 absolutely_simple_inconclusive=0 ll_passed=65",
+                "9001f2b193896711f17c131b734d6bf739c4536dae7dd718b551375dbdcbe4d2",
+                id="numeric-max-dev",
+            ),
+        ],
+    )
+    def test_summary_and_report_table_are_pinned(self, capsys, tmp_path, flags, summary, table_digest):
+        # the sweep's summary line and report's per-(rho, b) table of its rows
+        path = tmp_path / "sweep.jsonl"
+        code, _, err = run(capsys, "search", *flags, "--no-timings", "--out", str(path))
+        assert code == 0 and err == summary + "\n"
+        code, table, _ = run(capsys, "report", "--in", str(path))
+        assert code == 0 and hashlib.sha256(table.encode()).hexdigest() == table_digest
 
     def test_repeated_list_entries_count_once(self, capsys, tmp_path):
         # --rho, --b and --r are sets: a repeated entry adds no report
@@ -223,6 +268,24 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--rho", "5", "--b", "1", "--q-max", "12", flag, value)
         assert code == 1 and out == ""
         assert f"error: {flag} must be" in err and f"(got {value.split(',')[0]})" in err
+
+    @pytest.mark.parametrize("flag, value", [("--rho", ""), ("--b", ","), ("--r", ",")])
+    def test_empty_list_exit_1(self, capsys, flag, value):
+        # a list with no entries is malformed input, not an empty sweep
+        code, out, err = run(capsys, "search", "--rho", "5", "--b", "1", "--q-max", "12", flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: bad range: {flag} has no entries\n"
+
+    def test_stray_commas_are_skipped(self, capsys):
+        code, _, err = run(capsys, "search", "--rho", "5,,7", "--b", ",1,", "--q-max", "12", "--no-timings")
+        assert code == 0
+        assert err == run(capsys, "search", "--rho", "5,7", "--b", "1", "--q-max", "12", "--no-timings")[2]
+
+    def test_summary_counts(self, capsys):
+        code, out, err = run(capsys, "search", "--rho", "5", "--b", "1", "--q-max", "25", "--no-timings")
+        counts = dict(item.split("=") for item in err.split())
+        assert code == 0 and int(counts["tuples"]) == len(out.splitlines()) > 0
+        assert counts["q_polynomial"] == counts["absolutely_simple_yes"] == counts["tuples"]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, capsys, workers):

@@ -21,7 +21,6 @@ from weilpoly.engine import (
     construct,
     modular_irreducibility_certificate,
     search,
-    search_summary,
     validate_tuple,
 )
 from weilpoly.errors import InvalidTuple, NotPrimePower
@@ -233,8 +232,8 @@ class TestClassify:
         assert not rep.is_q_polynomial and rep.method == "shape"
 
     def test_purity(self):
-        a = classify(T1).to_json_line(include_timings=False)
-        b = classify(T1).to_json_line(include_timings=False)
+        a = json.dumps(classify(T1).to_json_dict(include_timings=False))
+        b = json.dumps(classify(T1).to_json_dict(include_timings=False))
         assert a == b
 
     def test_numeric_option(self):
@@ -322,14 +321,6 @@ class TestSearch:
         rng = SearchRange(rhos=(5,), bs=(1,), q_max=3)
         assert list(search(rng)) == []
 
-    def test_summary_counts(self):
-        rng = SearchRange(rhos=(5,), bs=(1,), q_max=25)
-        reports = list(search(rng))
-        summary = search_summary(reports)
-        assert summary["tuples"] == len(reports) > 0
-        assert summary["q_polynomial"] == summary["tuples"]
-        assert summary["absolutely_simple_yes"] == summary["tuples"]
-
     def test_validation_streams(self, monkeypatch):
         # the first report waits for its own tuple's validation only, not the
         # whole grid's (1,709 candidates here), and validates it once
@@ -365,8 +356,8 @@ class TestSearch:
 
     def test_workers_preserve_order_and_content(self):
         rng = SearchRange(rhos=(5,), bs=(1, 2), q_max=9)
-        serial = [r.to_json_line(include_timings=False) for r in search(rng, workers=1)]
-        parallel = [r.to_json_line(include_timings=False) for r in search(rng, workers=2)]
+        serial = [json.dumps(r.to_json_dict(include_timings=False)) for r in search(rng, workers=1)]
+        parallel = [json.dumps(r.to_json_dict(include_timings=False)) for r in search(rng, workers=2)]
         assert serial == parallel
 
     def test_m_policy_all_supersets_corners(self):

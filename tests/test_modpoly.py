@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from weilpoly.intpoly import cyclotomic
 from weilpoly.modpoly import ModPoly, ff_gcd, is_irreducible_mod, powmod
-from weilpoly.numtheory import euler_phi, multiplicative_order, primes_first
+from weilpoly.numtheory import euler_phi, primes_first
 
 
 def M(r, *coeffs):
@@ -146,5 +146,5 @@ class TestGuerrier:
     def test_profile_matches_order_formula(self):
         for n, r in [(7, 2), (7, 3), (25, 3), (49, 2)]:
             prof = distinct_degree_profile(ModPoly.from_intpoly(cyclotomic(n), r))
-            e = multiplicative_order(r, n)
+            e = sympy.ntheory.n_order(r, n)
             assert prof.entries == ((e, euler_phi(n) // e),)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from weilpoly.numtheory import (
     is_prime,
     is_primitive_root_mod,
     least_prime_primitive_root,
-    multiplicative_order,
     prime_power_decompose,
     primes_first,
 )
@@ -85,28 +85,20 @@ class TestEulerPhi:
         assert total == n
 
 
-class TestMultiplicativeOrder:
-    def test_fixtures(self):
-        assert multiplicative_order(2, 25) == 20
-        assert multiplicative_order(3, 49) == 42
-        assert multiplicative_order(2, 5) == 4
-
-    def test_not_coprime(self):
-        with pytest.raises(ValueError, match=r"gcd\(10, 25\) > 1"):
-            multiplicative_order(10, 25)
-
-    @given(st.integers(min_value=2, max_value=500), st.integers(min_value=2, max_value=500))
-    def test_matches_brute_force(self, r, n):
-        if math.gcd(r, n) != 1:
-            return
-        assert multiplicative_order(r, n) == _brute_order(r, n)
-
-
 class TestPrimitiveRoots:
     def test_fixtures(self):
         assert is_primitive_root_mod(2, 25)
         assert is_primitive_root_mod(3, 25)
+        assert is_primitive_root_mod(3, 49)
+        assert is_primitive_root_mod(2, 5)
         assert not is_primitive_root_mod(7, 25)  # 7^4 = 2401 = 1 mod 25
+        assert not is_primitive_root_mod(10, 25)  # not a unit
+
+    @given(st.integers(min_value=2, max_value=500), st.integers(min_value=2, max_value=500))
+    def test_matches_sympy_order(self, r, n):
+        # a unit generates the unit group exactly when its order is phi(n)
+        expected = math.gcd(r, n) == 1 and sympy.ntheory.n_order(r, n) == sympy.totient(n)
+        assert is_primitive_root_mod(r, n) == expected
 
     def test_least_prime_primitive_root(self):
         assert least_prime_primitive_root(25) == 2

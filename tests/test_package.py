@@ -128,7 +128,6 @@ def test_cli_import_leaves_heavy_modules_unloaded():
 NOT_CALLED_FROM_SRC = {
     "cli.main": "the console-script entry point",
     "cli._Parser.error": "argparse calls it",
-    "analysis._Infinity.__init__": "runs at import, before any trace starts",
     "surd.QuadSurd.__mul__": "the benchmark's tracer wraps it by name",
     # without these, == and hashing fall back to identity and truthiness to
     # always-true, silently; repr is what a failed check prints
@@ -139,7 +138,6 @@ NOT_CALLED_FROM_SRC = {
     "modpoly.ModPoly.__eq__": "value equality",
     "modpoly.ModPoly.__hash__": "hashing by value, to match __eq__",
     "modpoly.ModPoly.__repr__": "readable in failure messages",
-    "analysis._Infinity.__repr__": "readable in failure messages",
 }
 
 # the CLI runs of the call trace, each with its exit code
