@@ -85,14 +85,24 @@ class TestEulerPhi:
         assert total == n
 
 
+class TestMultiplicativeOrder:
+    def test_fixtures(self):
+        # (r, n, order of r mod n): r is a primitive root exactly when its order is phi(n)
+        for r, n, order in [(2, 25, 20), (3, 49, 42), (2, 5, 4), (4, 25, 10), (7, 25, 4), (2, 49, 21)]:
+            assert _brute_order(r, n) == order
+            assert is_primitive_root_mod(r, n) == (order == euler_phi(n))
+
+    def test_not_coprime(self):
+        # a non-unit has no multiplicative order and is never a primitive root
+        for r, n in [(10, 25), (5, 25), (7, 49), (14, 49)]:
+            assert not is_primitive_root_mod(r, n)
+
+
 class TestPrimitiveRoots:
     def test_fixtures(self):
         assert is_primitive_root_mod(2, 25)
         assert is_primitive_root_mod(3, 25)
-        assert is_primitive_root_mod(3, 49)
-        assert is_primitive_root_mod(2, 5)
         assert not is_primitive_root_mod(7, 25)  # 7^4 = 2401 = 1 mod 25
-        assert not is_primitive_root_mod(10, 25)  # not a unit
 
     @given(st.integers(min_value=2, max_value=500), st.integers(min_value=2, max_value=500))
     def test_matches_sympy_order(self, r, n):
