@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import cos, inf, isfinite, isinf, isqrt, pi, sin
 
 from .errors import WeilPolyError
-from .intpoly import IntPoly, QPolynomial, poly_gcd, pseudo_remainder, squarefree_part
+from .intpoly import IntPoly, QPolynomial, poly_gcd, remainder_sequence, squarefree_part
 from .surd import QuadSurd
 
 
@@ -59,29 +59,15 @@ def real_weil_transform(f: QPolynomial) -> IntPoly:
 
 
 def sturm_chain(h: IntPoly) -> list[IntPoly]:
-    """Signed remainder chain of (h, h') over Z.
+    """Signed remainder chain of (h, h') over Z, remainder_sequence(h, h').
 
     Each element is a positive integer multiple of the exact rational chain
-    element, which preserves all sign information: each pseudo-remainder is
-    negated unless lc^(deg a - deg b + 1) is negative, then divided by its
-    (positive) content.  The last element is gcd(h, h') up to a factor, so it
-    is constant exactly when h is squarefree.
+    element, which preserves all sign information.  The last element is
+    gcd(h, h') up to a factor, so it is constant exactly when h is squarefree.
     """
     if h.is_zero():
         raise ValueError("Sturm chain of zero polynomial")
-    chain = [h]
-    if h.degree >= 1:
-        chain.append(h.derivative())
-        while chain[-1].degree > 0:
-            a, b = chain[-2], chain[-1]
-            rem = pseudo_remainder(a, b)
-            if rem.is_zero():
-                break
-            if b.lc > 0 or (a.degree - b.degree) % 2:  # lc(b)^(deg a - deg b + 1) > 0
-                rem = -rem
-            c = rem.content()
-            chain.append(IntPoly(x // c for x in rem.coeffs))
-    return chain
+    return remainder_sequence(h, h.derivative()) if h.degree >= 1 else [h]
 
 
 def _horner(coeffs, x: int) -> int:
@@ -146,46 +132,54 @@ def _cauchy_bound(h: IntPoly) -> int:
     return 2 + m // lc
 
 
-def _isolate_root_above(chain: list[IntPoly], q: int, above: int) -> tuple[Fraction, Fraction]:
-    """Isolating (lo, hi] interval with rational endpoints for some root of
-    h = chain[0] lying strictly above 2*sqrt(q), where chain = sturm_chain(h),
-    h(2*sqrt(q)) != 0 and h has `above` distinct roots above 2*sqrt(q).
-    Raises WeilPolyError if `above` is 0, or if a loop runs past what the
-    root separation allows (a chain or a count at fault)."""
+def _isolate_root_outside(chain: list[IntPoly], q: int, count: int, side: int) -> tuple[Fraction, Fraction]:
+    """Interval with rational endpoints, neither a root, around exactly one
+    root x of h = chain[0] with side*x > 2*sqrt(q) (side = 1 above the band,
+    -1 below it), or (x, x) for a rational root; chain = sturm_chain(h),
+    h(side*2*sqrt(q)) != 0 and h has `count` distinct roots beyond it.  The
+    search runs on the mirror t = side*x, where the root bounds and cut points
+    are those of h(side*t).  Raises WeilPolyError if `count` is 0, or if a
+    loop runs past what the root separation allows (a chain or a count at
+    fault)."""
     h = chain[0]
-    if above == 0:
-        raise WeilPolyError("no root of h above 2*sqrt(q)")
+    where = "above 2*sqrt(q)" if side > 0 else "below -2*sqrt(q)"
+    if count == 0:
+        raise WeilPolyError(f"no root of h {where}")
+
+    def roots_in(lo, hi) -> int:  # distinct roots x of h with side*x in (lo, hi]
+        return count_between(chain, *sorted((side * lo, side * hi)))
+
     # 2^-bits is below the distance between distinct roots of prod = h*(x^2 - 4q),
     # by Mahler's bound sqrt(3) n^(-(n+2)/2) |prod|_2^(1-n), valid for its radical
     prod = (h * IntPoly((-4 * q, 0, 1))).coeffs
     n, norm_sq = len(prod) - 1, sum(c * c for c in prod)
     bits = ((n + 2) * n.bit_length() + (n - 1) * norm_sq.bit_length()) // 2 + 1
-    # rational left cut in (2*sqrt(q), 2*sqrt(q) + 2^-k]: below every root
-    # above the band once k >= bits
+    # rational cut t = z in (2*sqrt(q), 2*sqrt(q) + 2^-k]: nearer the band than
+    # every root beyond it once k >= bits
     k = 1
     while True:
         z = Fraction(isqrt(4 * q * 4 ** k) + 1, 2 ** k)
-        if _sign_at(h, z) == 0:
-            return z, z
-        if count_between(chain, z, inf) == above:
+        if _sign_at(h, side * z) == 0:
+            return side * z, side * z
+        if roots_in(z, inf) == count:
             break
         if k >= bits:
-            raise WeilPolyError("no rational cut below the roots above 2*sqrt(q)")
+            raise WeilPolyError(f"no rational cut between the band and the roots {where}")
         k *= 2
     bound = _cauchy_bound(h)
-    lo, hi, count = z, Fraction(bound), above
+    lo, hi, left = z, Fraction(bound), count
     for _ in range(bound.bit_length() + bits + 1):
-        if count == 1:
-            return lo, hi
+        if left == 1:
+            return (lo, hi) if side > 0 else (-hi, -lo)
         mid = (lo + hi) / 2
-        if _sign_at(h, mid) == 0:
-            return mid, mid
-        left = count_between(chain, lo, mid)
-        if left >= 1:
-            hi, count = mid, left
+        if _sign_at(h, side * mid) == 0:
+            return side * mid, side * mid
+        nearer = roots_in(lo, mid)
+        if nearer >= 1:
+            hi, left = mid, nearer
         else:
             lo = mid
-    raise WeilPolyError("bisection did not isolate a root above 2*sqrt(q)")
+    raise WeilPolyError(f"bisection did not isolate a root {where}")
 
 
 @dataclass(frozen=True)
@@ -230,20 +224,11 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
     v_neg_inf, v_pos_inf = _variations(chain, -inf), _variations(chain, inf)
     total_real = v_neg_inf - v_pos_inf
     if total_real > inside:
-        above = v_hi - v_pos_inf
-        if above > 0:
-            a, b = _isolate_root_above(chain, q, above)
-            side = "above"
-        else:
-            neg = IntPoly(
-                (-1) ** j * c for j, c in enumerate(h0.coeffs)
-            )  # h0(-x), mirrors roots below the band to above it
-            a, b = _isolate_root_above(sturm_chain(neg), q, v_neg_inf - v_lo)
-            a, b = -b, -a
-            side = "below"
+        side, count = (1, v_hi - v_pos_inf) if v_hi > v_pos_inf else (-1, v_neg_inf - v_lo)
+        a, b = _isolate_root_outside(chain, q, count, side)
         witness = {
             "kind": "real_root_outside_band",
-            "side": side,
+            "side": "above" if side > 0 else "below",
             "interval": [str(a), str(b)],
         }
         return ModulusCheckResult(passed=False, witness=witness)

@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .engine import (
     CSV_FIELDS,
+    MAX_Q,
     REPORT_FIELDS,
     ClassificationReport,
     ClassifyOptions,
@@ -137,8 +138,9 @@ def cmd_search(args) -> int:
         return EXIT_USAGE
     if _bad_flags({"rho": rhos, "b": bs, "r": rs or ()}):
         return EXIT_USAGE
-    if args.m_policy not in ("corners", "all"):
-        print("error: --m-policy must be corners or all", file=sys.stderr)
+    if max(args.q_min, 4) > min(args.q_max, MAX_Q):
+        print(f"error: bad range: --q-min {args.q_min} and --q-max {args.q_max} leave no q in [4, {MAX_Q}]",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.workers < 1:
         print(f"error: --workers must be >= 1 (got {args.workers})", file=sys.stderr)
@@ -290,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'least' (least prime primitive root mod rho^2) or comma-separated primes")
     s.add_argument("--q-min", type=int, default=4)
     s.add_argument("--q-max", type=int, default=64)
-    s.add_argument("--m-policy", default="corners", help="corners ({0,1,m_max}) or all")
+    s.add_argument("--m-policy", choices=("corners", "all"), default="corners",
+                   help="corners ({0,1,m_max}) or all")
     s.add_argument("--out", default=None, help="output path (default stdout)")
     s.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     s.add_argument("--no-timings", action="store_true")

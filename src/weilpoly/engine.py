@@ -37,7 +37,6 @@ from .intpoly import (
     IntPoly,
     QPolynomial,
     check_q_symmetry,
-    cyclotomic,
     minimal_poly_of_power,
     reduce_mod,
 )
@@ -191,7 +190,8 @@ def certify_simple(f: QPolynomial, r: int, rho: int, b: int) -> bool:
     Niederreiter, Finite Fields, Thm 2.47), which fails when r divides n.
     True certifies f irreducible over Q, hence (for an ordinary Weil
     polynomial) simplicity."""
-    if reduce_mod(f.poly, r) != reduce_mod(cyclotomic(rho ** b), r):
+    d = rho ** (b - 1)  # Phi_(rho^b)(t) = Phi_rho(t^d), coefficients 0 and 1
+    if reduce_mod(f.poly, r) != [int(j % d == 0) for j in range((rho - 1) * d + 1)]:
         return False
     return is_primitive_root_mod(r, rho ** b)
 

@@ -9,12 +9,11 @@ and golden files is the comma-separated low-to-high decimal list, e.g.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
-from .errors import ShapeMismatch, WeilPolyError
+from .errors import ShapeMismatch
 
 
 class IntPoly:
@@ -175,21 +174,39 @@ def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(rem).scale(lb ** e)
 
 
+def remainder_sequence(a: IntPoly, b: IntPoly) -> list[IntPoly]:
+    """The signed primitive remainder sequence a, b, r_2, r_3, ... over Z.
+
+    Each r_(i+1) is a positive integer multiple of the exact rational
+    remainder -(r_(i-1) mod r_i), which preserves all sign information: the
+    pseudo-remainder is negated unless lc(r_i)^(deg r_(i-1) - deg r_i + 1) is
+    negative, then divided by its (positive) content.  The sequence stops at
+    a constant element or before a zero remainder, so its last element is
+    gcd(a, b) up to a factor.
+    """
+    seq = [a, b]
+    while seq[-1].degree > 0:
+        a, b = seq[-2], seq[-1]
+        rem = pseudo_remainder(a, b)
+        if rem.is_zero():
+            break
+        if b.lc > 0 or (a.degree - b.degree) % 2:  # lc(b)^(deg a - deg b + 1) > 0
+            rem = -rem
+        c = rem.content()
+        seq.append(IntPoly(x // c for x in rem.coeffs))
+    return seq
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """gcd in Z[t] via the primitive remainder sequence, leading coefficient > 0."""
-    if a.is_zero():
-        return b.primitive() if not b.is_zero() else IntPoly(())
-    if b.is_zero():
-        return a.primitive()
+    """gcd in Z[t], leading coefficient > 0: the gcd of the contents times the
+    primitive last element of the remainder sequence of the primitive parts."""
+    if a.is_zero() or b.is_zero():
+        return (a or b).primitive()
     ca, cb = a.content(), b.content()
-    cont = int_gcd(ca, cb)
     a, b = a._divide_content(ca), b._divide_content(cb)
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero():
-        r = pseudo_remainder(a, b)
-        a, b = b, r.primitive()
-    return a.scale(cont)
+    return remainder_sequence(a, b)[-1].primitive().scale(int_gcd(ca, cb))
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:
@@ -211,24 +228,6 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     if not rem.is_zero():
         raise ValueError("division is not exact")
     return quot
-
-
-# -- cyclotomic polynomials ----------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, computed by dividing x^n - 1 by the
-    cyclotomic polynomials of the proper divisors of n."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    poly = IntPoly((-1,) + (0,) * (n - 1) + (1,))  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = poly.divmod(cyclotomic(d))
-            if not rem.is_zero():
-                raise WeilPolyError(f"cyclotomic({d}) does not divide x^{n} - 1")
-    return poly
 
 
 # -- the (g, q) coefficient symmetry -------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .intpoly import IntPoly, reduce_mod
+from .intpoly import IntPoly
 
 
 class ModPoly:
@@ -29,7 +29,7 @@ class ModPoly:
 
     @classmethod
     def from_intpoly(cls, f: IntPoly, r: int) -> "ModPoly":
-        return cls(r, reduce_mod(f, r))
+        return cls(r, f.coeffs)
 
     @classmethod
     def x(cls, r: int) -> "ModPoly":

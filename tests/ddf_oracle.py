@@ -1,5 +1,6 @@
 """Distinct-degree profiles over F_r: the reference the irreducibility test is
-checked against, and the cyclotomic self-test built on them.
+checked against, the cyclotomic polynomials (from sympy, independent of the
+package), and the cyclotomic self-test built on them.
 
 Not a test module (pytest does not collect it); tests import it by name.
 The profile of a squarefree polynomial is the family of (degree d, number of
@@ -11,11 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import sympy
 from sympy.ntheory import n_order
 
-from weilpoly.intpoly import cyclotomic
+from weilpoly.intpoly import IntPoly
 from weilpoly.modpoly import ModPoly, ff_gcd, powmod
 from weilpoly.numtheory import euler_phi
+
+
+def cyclotomic(n: int) -> IntPoly:
+    """The n-th cyclotomic polynomial, by sympy."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, sympy.Symbol("x")))
+    return IntPoly(int(c) for c in reversed(phi.all_coeffs()))
 
 
 def derivative(f: ModPoly) -> ModPoly:

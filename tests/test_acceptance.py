@@ -14,7 +14,7 @@ import time
 
 import mpmath
 import pytest
-from ddf_oracle import guerrier_check
+from ddf_oracle import cyclotomic, guerrier_check
 
 from weilpoly.analysis import exact_modulus_check, numeric_roots
 from weilpoly.engine import (
@@ -31,7 +31,6 @@ from weilpoly.engine import (
 from weilpoly.intpoly import (
     IntPoly,
     check_q_symmetry,
-    cyclotomic,
     minimal_poly_of_power,
     reduce_mod,
 )

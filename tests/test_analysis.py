@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weilpoly import analysis
 from weilpoly.analysis import (
-    _isolate_root_above,
+    _isolate_root_outside,
     count_between,
     exact_modulus_check,
     numeric_roots,
@@ -221,18 +221,27 @@ class TestExactModulusCheck:
         assert res.witness["side"] == "above"
         assert points.count(QuadSurd(5, 0, 2)) == 1
 
-    def test_isolation_needs_a_root_above_the_band(self):
+    @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+    def test_isolation_needs_a_root_outside_the_band(self, side):
         # roots +/-1 lie inside +/-2*sqrt(5): there is nothing to isolate
         with pytest.raises(WeilPolyError):
-            _isolate_root_above(sturm_chain(P(-1, 0, 1)), 5, 0)
+            _isolate_root_outside(sturm_chain(P(-1, 0, 1)), 5, 0, side)
 
-    def test_isolation_stops_on_a_lying_chain(self, monkeypatch):
-        # (x - 5)(x - 6) has two roots above 2*sqrt(5); a count that always
-        # claims one root can never be satisfied, and must end in an error
-        chain = sturm_chain(P(30, -11, 1))
+    @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+    def test_isolation_stops_on_a_lying_chain(self, monkeypatch, side):
+        # (x - 5)(x - 6) has two roots above 2*sqrt(5), its mirror (x + 5)(x + 6)
+        # two below -2*sqrt(5); a count that always claims one root can never
+        # be satisfied, and must end in an error
+        chain = sturm_chain(P(30, -11 * side, 1))
         monkeypatch.setattr(analysis, "count_between", lambda chain, lo, hi: 1)
         with pytest.raises(WeilPolyError):
-            _isolate_root_above(chain, 5, 2)
+            _isolate_root_outside(chain, 5, 2, side)
+
+    def test_below_band_interval_mirrors_above(self):
+        # the search below the band is the one above it, run on the mirror
+        lo, hi = _isolate_root_outside(sturm_chain(P(30, -11, 1)), 5, 2, 1)
+        assert lo < hi and count_between(sturm_chain(P(30, -11, 1)), lo, hi) == 1
+        assert _isolate_root_outside(sturm_chain(P(30, 11, 1)), 5, 2, -1) == (-hi, -lo)
 
     def test_witness_golden(self):
         # every verdict and witness over 1,965 small inputs (706 passes, 585

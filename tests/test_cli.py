@@ -218,6 +218,7 @@ class TestSearch:
         assert twice.read_bytes() == once.read_bytes()
 
     def test_empty_range(self, capsys, tmp_path):
+        # q = 4 is in range but not 1 mod r = 2: a valid range without a tuple
         out_path = tmp_path / "empty.jsonl"
         code, out, err = run(
             capsys, "search", "--rho", "5", "--b", "1", "--q-max", "4",
@@ -247,10 +248,10 @@ class TestSearch:
     def test_q_past_the_field_size_cap_is_not_enumerated(self):
         # every q above 2^32 fails the field size cap, so the sweep stops there
         # instead of walking a trillion integers
-        out = run_cli("search", "--rho", "5", "--q-min", "4294967297", "--q-max", "1099511627776",
+        out = run_cli("search", "--rho", "5", "--q-min", "4294967290", "--q-max", "1099511627776",
                       "--no-timings")
-        assert out.returncode == 0 and out.stdout == ""
-        assert out.stderr.startswith("tuples=0 ")
+        assert out.returncode == 0 and out.stderr.startswith("tuples=3 ")
+        assert {json.loads(line)["q"] for line in out.stdout.splitlines()} == {4294967291}
 
     def test_stdout_pipes_into_report(self, capsys, tmp_path):
         # without --out only the reports go to stdout, so report reads them back
@@ -268,6 +269,20 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--rho", "5", "--b", "1", "--q-max", "12", flag, value)
         assert code == 1 and out == ""
         assert f"error: {flag} must be" in err and f"(got {value.split(',')[0]})" in err
+
+    @pytest.mark.parametrize("q_range", [("--q-min", "100", "--q-max", "10"), ("--q-max", "3"), ("--q-max", "-5"),
+                                         ("--q-min", "5000000000", "--q-max", "5000000010")],
+                             ids=["reversed", "below-4", "negative", "past-the-cap"])
+    def test_empty_q_range_exit_1(self, capsys, q_range):
+        # no q in [4, MAX_Q] is malformed input, not an empty sweep
+        code, out, err = run(capsys, "search", "--rho", "5", *q_range)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad range: --q-min ") and "--q-max" in err and err.count("\n") == 1
+
+    def test_bad_m_policy_exit_1(self, capsys):
+        code, out, err = run(capsys, "search", "--rho", "5", "--q-max", "12", "--m-policy", "some")
+        assert code == 1 and out == ""
+        assert "error: argument --m-policy: invalid choice: 'some'" in err
 
     @pytest.mark.parametrize("flag, value", [("--rho", ""), ("--b", ","), ("--r", ",")])
     def test_empty_list_exit_1(self, capsys, flag, value):

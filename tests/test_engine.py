@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 import sympy
+from ddf_oracle import cyclotomic
 
 from weilpoly import engine
 from weilpoly.analysis import exact_modulus_check
@@ -27,7 +28,6 @@ from weilpoly.errors import InvalidTuple, NotPrimePower
 from weilpoly.intpoly import (
     IntPoly,
     check_q_symmetry,
-    cyclotomic,
     minimal_poly_of_power,
     reduce_mod,
 )

@@ -1,5 +1,6 @@
 import pytest
 import sympy
+from ddf_oracle import cyclotomic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,6 @@ from weilpoly.intpoly import (
     IntPoly,
     char_poly_of_power,
     check_q_symmetry,
-    cyclotomic,
     minimal_poly_of_power,
     poly_gcd,
     power_sums,
@@ -83,6 +83,8 @@ class TestArithmetic:
 
 
 class TestCyclotomic:
+    # checks of the tests' sympy-built cyclotomic polynomials, which the
+    # simplicity tests compare the closed form in certify_simple with
     def test_fixtures(self):
         assert cyclotomic(5) == P(1, 1, 1, 1, 1)
         assert cyclotomic(1) == P(-1, 1)
@@ -226,6 +228,15 @@ class TestGcdAndRadical:
         f = product([P(content)] + [IntPoly(cs) for cs, e in factors for _ in range(e)])
         expected = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"), domain="ZZ").sqf_part()
         assert squarefree_part(f).coeffs == tuple(int(c) for c in reversed(expected.all_coeffs()))
+
+    @given(small_polys, small_polys, small_polys, st.integers(-6, 6).filter(bool), st.integers(-6, 6).filter(bool))
+    @settings(max_examples=80)
+    def test_gcd_matches_sympy(self, shared, a, b, ca, cb):
+        # pairs with a common factor and contents that may share a divisor
+        a, b = (shared * a).scale(ca), (shared * b).scale(cb)
+        x = sympy.Symbol("x")
+        expected = sympy.gcd(*(sympy.Poly(list(reversed(p.coeffs)), x, domain="ZZ") for p in (a, b)))
+        assert poly_gcd(a, b).coeffs == tuple(int(c) for c in reversed(expected.all_coeffs()))
 
     @given(small_polys, small_polys)
     @settings(max_examples=80)

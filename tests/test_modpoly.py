@@ -1,10 +1,9 @@
 import pytest
 import sympy
-from ddf_oracle import distinct_degree_profile, guerrier_check, is_squarefree
+from ddf_oracle import cyclotomic, distinct_degree_profile, guerrier_check, is_squarefree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilpoly.intpoly import cyclotomic
 from weilpoly.modpoly import ModPoly, ff_gcd, is_irreducible_mod, powmod
 from weilpoly.numtheory import euler_phi, primes_first
 
