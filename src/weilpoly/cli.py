@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections import Counter
 from typing import Iterable
@@ -142,8 +143,10 @@ def cmd_search(args) -> int:
         print(f"error: bad range: --q-min {args.q_min} and --q-max {args.q_max} leave no q in [4, {MAX_Q}]",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1 (got {args.workers})", file=sys.stderr)
+    # a process pool forks all its workers at once, so their number is bounded
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        print(f"error: --workers must be in [1, {cpus}], the CPU count (got {args.workers})", file=sys.stderr)
         return EXIT_USAGE
     rng = SearchRange(
         rhos=rhos, bs=bs, rs=rs, q_min=args.q_min, q_max=args.q_max,
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     s.add_argument("--no-timings", action="store_true")
     s.add_argument("--workers", type=int, default=1,
-                   help="worker processes (>= 1); each keeps a few tuples in flight")
+                   help="worker processes (1 to the CPU count); each keeps a few tuples in flight")
     _add_classify_flags(s)
     s.set_defaults(func=cmd_search)
 

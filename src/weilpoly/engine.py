@@ -38,9 +38,8 @@ from .intpoly import (
     QPolynomial,
     check_q_symmetry,
     minimal_poly_of_power,
-    reduce_mod,
 )
-from .modpoly import ModPoly, is_irreducible_mod
+from .modpoly import is_irreducible_mod, reduce_mod
 from .numtheory import (
     is_prime,
     is_primitive_root_mod,
@@ -122,8 +121,12 @@ def validate_tuple(t: ParamTuple) -> list[PreconditionCheck]:
 
     r_prime = is_prime(t.r)
     checks.append(PreconditionCheck("r prime", r_prime, f"r={t.r}"))
-    prim = rho_ok and r_prime and is_primitive_root_mod(t.r, t.rho ** 2)
-    checks.append(PreconditionCheck("r primitive root mod rho^2", prim, f"r={t.r}, rho^2={t.rho ** 2}"))
+    # rho - 1 is 2g at b = 1, so a larger rho fails the degree cap at every b;
+    # the check then fails undecided, since deciding it factors phi(rho^2)
+    decided = t.rho - 1 <= MAX_TWO_G
+    prim = rho_ok and r_prime and decided and is_primitive_root_mod(t.r, t.rho ** 2)
+    detail = f"r={t.r}, rho^2={t.rho ** 2}" + ("" if decided else ", undecided past the degree cap")
+    checks.append(PreconditionCheck("r primitive root mod rho^2", prim, detail))
 
     p_prime = is_prime(t.p)
     checks.append(PreconditionCheck("p prime", p_prime, f"p={t.p}"))
@@ -191,7 +194,7 @@ def certify_simple(f: QPolynomial, r: int, rho: int, b: int) -> bool:
     True certifies f irreducible over Q, hence (for an ordinary Weil
     polynomial) simplicity."""
     d = rho ** (b - 1)  # Phi_(rho^b)(t) = Phi_rho(t^d), coefficients 0 and 1
-    if reduce_mod(f.poly, r) != [int(j % d == 0) for j in range((rho - 1) * d + 1)]:
+    if reduce_mod(f.poly.coeffs, r) != tuple(int(j % d == 0) for j in range((rho - 1) * d + 1)):
         return False
     return is_primitive_root_mod(r, rho ** b)
 
@@ -210,7 +213,7 @@ def modular_irreducibility_certificate(f: IntPoly, tries: int = DEFAULT_RAW_CERT
     for r in _certificate_primes(tries):
         if f.lc % r == 0:
             continue
-        if is_irreducible_mod(ModPoly.from_intpoly(f, r)):
+        if is_irreducible_mod(f.coeffs, r):
             return r
     return None
 
@@ -408,7 +411,8 @@ class SearchRange:
 
     def candidate_tuples(self) -> Iterator[ParamTuple]:
         for rho in sorted(set(self.rhos)):
-            if not is_prime(rho) or rho < 5:
+            # past rho - 1 = MAX_TWO_G every b fails the degree cap
+            if not is_prime(rho) or rho < 5 or rho - 1 > MAX_TWO_G:
                 continue
             if self.rs is None:
                 least = least_prime_primitive_root(rho ** 2)

@@ -347,15 +347,3 @@ def minimal_poly_of_power(f: IntPoly, d: int, s: list[int] | None = None) -> Int
         raise ValueError("radical of a monic polynomial must be monic")
     return rad
 
-
-# -- reduction mod a prime ---------------------------------------------------------
-
-
-def reduce_mod(f: IntPoly, r: int) -> list[int]:
-    """Coefficients of f reduced into [0, r), low-to-high, trailing zeros kept off."""
-    if r < 2:
-        raise ValueError("modulus must be >= 2")
-    out = [c % r for c in f.coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out

@@ -1,6 +1,8 @@
 """Distinct-degree profiles over F_r: the reference the irreducibility test is
-checked against, the cyclotomic polynomials (from sympy, independent of the
-package), and the cyclotomic self-test built on them.
+checked against, the cyclotomic polynomials, and the cyclotomic self-test
+built on them.  Everything here is computed by sympy, independently of the
+package; a polynomial over F_r is a coefficient sequence, low degree first,
+as in weilpoly.modpoly.
 
 Not a test module (pytest does not collect it); tests import it by name.
 The profile of a squarefree polynomial is the family of (degree d, number of
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 
 import sympy
 from sympy.ntheory import n_order
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_from_int_poly, gf_monic, gf_sqf_p
 
 from weilpoly.intpoly import IntPoly
-from weilpoly.modpoly import ModPoly, ff_gcd, powmod
-from weilpoly.numtheory import euler_phi
 
 
 def cyclotomic(n: int) -> IntPoly:
@@ -26,15 +28,17 @@ def cyclotomic(n: int) -> IntPoly:
     return IntPoly(int(c) for c in reversed(phi.all_coeffs()))
 
 
-def derivative(f: ModPoly) -> ModPoly:
-    return ModPoly(f.r, (j * f.coeffs[j] for j in range(1, len(f.coeffs))))
+def _gf(coeffs, r: int) -> list:
+    """Integer coefficients, low degree first, as a sympy polynomial over F_r."""
+    return gf_from_int_poly([ZZ(c) for c in reversed(coeffs)], r)
 
 
-def is_squarefree(f: ModPoly) -> bool:
-    """True iff gcd(f, f') is constant."""
-    if f.is_zero():
+def is_squarefree(coeffs, r: int) -> bool:
+    """True iff the nonzero polynomial has no repeated factor over F_r."""
+    f = _gf(coeffs, r)
+    if not f:
         raise ValueError("squarefree test on zero polynomial")
-    return ff_gcd(f, derivative(f)).degree <= 0
+    return gf_sqf_p(f, r, ZZ)
 
 
 @dataclass(frozen=True)
@@ -44,34 +48,19 @@ class DegreeProfile:
     entries: tuple[tuple[int, int], ...]
 
 
-def distinct_degree_profile(f: ModPoly) -> DegreeProfile:
-    """Distinct-degree factorization profile of a squarefree polynomial.
+def distinct_degree_profile(coeffs, r: int) -> DegreeProfile:
+    """Distinct-degree factorization profile of a squarefree polynomial over
+    F_r, by sympy's distinct-degree factorization.
 
-    Raises ValueError on a polynomial with a repeated factor.  Iterates
-    gcd(f, x^(r^d) - x), which extracts the product of all irreducible
-    factors of degree exactly d.
+    Raises ValueError on a constant polynomial or one with a repeated factor.
     """
-    if f.degree < 1:
+    f = _gf(coeffs, r)
+    if len(f) < 2:
         raise ValueError("profile of a constant polynomial")
-    if not is_squarefree(f):
+    if not gf_sqf_p(f, r, ZZ):
         raise ValueError("distinct-degree profile requires a squarefree input")
-    v = f.monic()
-    r = f.r
-    x = ModPoly.x(r)
-    w = x % v
-    entries: list[tuple[int, int]] = []
-    d = 0
-    while v.degree >= 2 * (d + 1):
-        d += 1
-        w = powmod(w, r, v)
-        g = ff_gcd(v, w - x)
-        if g.degree > 0:
-            entries.append((d, g.degree // d))
-            v = v.divmod(g)[0]
-            w = w % v
-    if v.degree > 0:
-        entries.append((v.degree, 1))
-    return DegreeProfile(tuple(entries))
+    _, monic = gf_monic(f, r, ZZ)
+    return DegreeProfile(tuple((d, (len(g) - 1) // d) for g, d in gf_ddf_zassenhaus(monic, r, ZZ)))
 
 
 def guerrier_check(n: int, r: int) -> bool:
@@ -83,7 +72,7 @@ def guerrier_check(n: int, r: int) -> bool:
     """
     if n % r == 0:
         raise ValueError(f"{r} divides {n}")
-    phi = euler_phi(n)
+    phi = int(sympy.totient(n))
     order = n_order(r, n) if n >= 2 else 1
-    profile = distinct_degree_profile(ModPoly.from_intpoly(cyclotomic(n), r))
+    profile = distinct_degree_profile(cyclotomic(n).coeffs, r)
     return profile.entries == ((order, phi // order),)

@@ -66,6 +66,16 @@ class TestConstruct:
         assert code == 2
         assert "degree cap" in out and "m_max=None" in out
 
+    def test_rho_past_the_degree_cap_exit_2(self):
+        # 2g = rho - 1 > 256: the primitive root check fails undecided, since
+        # deciding it would factor phi(rho^2); in its own process so that a
+        # hang fails the test
+        out = run_cli("construct", "--rho", "1000000007", "--b", "1", "--r", "2",
+                      "--p", "5", "--n", "1", "--m", "0")
+        assert out.returncode == 2
+        assert "degree cap (2g=1000000006, cap=256)" in out.stdout
+        assert "undecided past the degree cap" in out.stdout
+
     def test_over_the_field_size_cap_exit_2(self, capsys):
         # q = 11^5000 has more digits than int-to-str allows; it is never formed
         code, out, _ = run(
@@ -238,6 +248,14 @@ class TestSearch:
         assert out_path.read_text() == ""
         assert "tuples=0" in err
 
+    def test_rho_past_the_degree_cap_is_skipped_before_r(self):
+        # 2g = rho - 1 > 256 at every b, so the sweep skips rho before it
+        # looks for the least primitive root mod rho^2, which would factor
+        # phi(rho^2); in its own process so that a hang fails the test
+        out = run_cli("search", "--rho", "1000000007", "--q-max", "16")
+        assert out.returncode == 0 and out.stdout == ""
+        assert out.stderr.startswith("tuples=0 ")
+
     def test_large_b_is_skipped_before_m_max(self):
         # 2g = 5^10 * 4: the sweep decides the degree cap before computing
         # m_max = q^(5^10), in its own process so that a hang fails the test
@@ -307,6 +325,19 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--rho", "5", "--q-max", "9", "--workers", workers)
         assert code == 1 and out == ""
         assert "--workers" in err
+
+    @pytest.mark.parametrize("workers", [str((os.cpu_count() or 1) + 1), "1000000"],
+                             ids=["cpu-count-plus-1", "million"])
+    def test_workers_past_the_cpu_count_exit_1(self, capsys, monkeypatch, workers):
+        # a pool forks all its workers at once, so the bound is checked
+        # before any search, and no process starts here
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran")
+
+        monkeypatch.setattr("weilpoly.cli.search", no_search)
+        code, out, err = run(capsys, "search", "--rho", "5", "--q-max", "9", "--workers", workers)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --workers ") and err.count("\n") == 1
 
     def test_csv_jsonl_parity(self, capsys, tmp_path):
         jl, cv = tmp_path / "x.jsonl", tmp_path / "x.csv"

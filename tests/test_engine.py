@@ -29,9 +29,8 @@ from weilpoly.intpoly import (
     IntPoly,
     check_q_symmetry,
     minimal_poly_of_power,
-    reduce_mod,
 )
-from weilpoly.modpoly import ModPoly, is_irreducible_mod
+from weilpoly.modpoly import is_irreducible_mod, reduce_mod
 from weilpoly.numtheory import primes_first
 
 T1 = ParamTuple(rho=5, b=1, r=2, p=5, n=1, m=0)
@@ -120,7 +119,7 @@ class TestCertificates:
             phi = cyclotomic(rho ** b)
             f = check_q_symmetry(phi, phi.degree // 2, 1)
             for r in primes_first(17):  # the primes below 60, rho among them
-                expected = is_irreducible_mod(ModPoly(r, reduce_mod(phi, r)))
+                expected = is_irreducible_mod(phi.coeffs, r)
                 assert certify_simple(f, r, rho, b) == expected, (rho, b, r)
                 answers.add(expected)
         assert answers == {True, False}
@@ -284,8 +283,8 @@ class TestTheoremInvariants:
             if not all(c.passed for c in validate_tuple(t)):
                 continue
             f = construct(t)
-            assert reduce_mod(f.poly, t.r) == reduce_mod(cyclotomic(t.rho ** t.b), t.r)
-            assert is_irreducible_mod(ModPoly.from_intpoly(f.poly, t.r))
+            assert reduce_mod(f.poly.coeffs, t.r) == reduce_mod(cyclotomic(t.rho ** t.b).coeffs, t.r)
+            assert is_irreducible_mod(f.poly.coeffs, t.r)
             count += 1
         assert count > 0
 
@@ -299,11 +298,11 @@ class TestTheoremInvariants:
 
     def test_rho7_reductions_all_phi7(self):
         rng = SearchRange(rhos=(7,), bs=(1,), rs=(3,), q_max=25)
-        target = reduce_mod(cyclotomic(7), 3)
+        target = reduce_mod(cyclotomic(7).coeffs, 3)
         qs = set()
         for t in rng.candidate_tuples():
             if all(c.passed for c in validate_tuple(t)):
-                assert reduce_mod(construct(t).poly, 3) == target
+                assert reduce_mod(construct(t).poly.coeffs, 3) == target
                 qs.add(t.q)
         assert {4, 13, 25} <= qs
 

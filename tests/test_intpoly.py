@@ -12,7 +12,6 @@ from weilpoly.intpoly import (
     minimal_poly_of_power,
     poly_gcd,
     power_sums,
-    reduce_mod,
     squarefree_part,
 )
 from weilpoly.numtheory import euler_phi
@@ -247,10 +246,3 @@ class TestGcdAndRadical:
         if g.degree >= 1:
             assert pseudo_remainder(a, g).is_zero()
             assert pseudo_remainder(b, g).is_zero()
-
-
-class TestReduceMod:
-    def test_fixtures(self):
-        assert reduce_mod(P(25, 5, 1, 1, 1), 2) == [1, 1, 1, 1, 1]
-        assert reduce_mod(P(16, 4, 1, 1, 1), 3) == [1, 1, 1, 1, 1]
-        assert reduce_mod(P(4, 2, 2), 2) == []

@@ -135,9 +135,6 @@ NOT_CALLED_FROM_SRC = {
     "intpoly.IntPoly.__hash__": "hashing by value, to match __eq__",
     "intpoly.IntPoly.__bool__": "the zero polynomial is false",
     "intpoly.IntPoly.__repr__": "readable in failure messages",
-    "modpoly.ModPoly.__eq__": "value equality",
-    "modpoly.ModPoly.__hash__": "hashing by value, to match __eq__",
-    "modpoly.ModPoly.__repr__": "readable in failure messages",
 }
 
 # the CLI runs of the call trace, each with its exit code
