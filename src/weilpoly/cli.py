@@ -28,6 +28,7 @@ from .engine import (
     ParamTuple,
     SearchRange,
     classify,
+    csv_row,
     search,
 )
 from .errors import InvalidTuple, NotPrimePower, WeilPolyError
@@ -168,7 +169,7 @@ def cmd_search(args) -> int:
         for rep in search(rng, options, workers=args.workers):
             row = rep.to_json_dict(include_timings)
             if args.format == "csv":
-                writer.writerow(rep.to_csv_row())
+                writer.writerow(csv_row(row))
             else:
                 out.write(json.dumps(row) + "\n")
             tally.add(row)

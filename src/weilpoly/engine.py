@@ -18,7 +18,9 @@ certificates: the coefficient symmetry, the root-modulus condition (Sturm),
 the unit-circle sufficiency check, ordinarity (gcd of the middle coefficient
 with p), simplicity (irreducibility via reduction mod r against the
 rho^b-th cyclotomic polynomial), and absolute simplicity (the dimension-2
-coefficient rule, or minimal polynomials of root powers).
+coefficient rule, or minimal polynomials of root powers theta^d, for the
+paper's witness d = rho^(b-1) and then for the d <= 2g^2 that can be the
+order of a ratio of two roots; see _admissible).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from math import gcd
+from math import factorial, gcd
 from typing import Iterator
 
 from . import analysis
@@ -41,6 +43,7 @@ from .intpoly import (
 )
 from .modpoly import is_irreducible_mod, reduce_mod
 from .numtheory import (
+    euler_phi,
     is_prime,
     is_primitive_root_mod,
     least_prime_primitive_root,
@@ -285,12 +288,13 @@ class ClassificationReport:
             out["timings_ms"] = {k: round(v, 3) for k, v in self.timings_ms.items()}
         return out
 
-    def to_csv_row(self) -> list[str]:
-        d = self.to_json_dict(include_timings=False)
-        t = d["tuple"] or {}
-        return [str(t.get(k, "")) for k in TUPLE_KEYS] + [
-            "" if d[k] is None else str(d[k]) for k in REPORT_FIELDS
-        ]
+
+def csv_row(row: dict) -> list[str]:
+    """The CSV cells, in CSV_FIELDS order, of a report's to_json_dict()."""
+    t = row["tuple"] or {}
+    return [str(t.get(k, "")) for k in TUPLE_KEYS] + [
+        "" if row[k] is None else str(row[k]) for k in REPORT_FIELDS
+    ]
 
 
 @dataclass(frozen=True)
@@ -298,19 +302,48 @@ class ClassifyOptions:
     with_numeric: bool = False
 
 
+def _admissible(d: int, g: int) -> bool:
+    """Whether phi(d) divides 2^g * g! and phi(d) / gcd(phi(d), 2g) <= max(1, 2g - 2):
+    the orders d that a ratio of two distinct roots of a simple ordinary Weil
+    polynomial of degree 2g can have (the proof is in _absolute_simplicity)."""
+    phi = euler_phi(d)
+    return (2 ** g * factorial(g)) % phi == 0 and phi // gcd(phi, 2 * g) <= max(1, 2 * g - 2)
+
+
 def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, int | None, int | None]:
     """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial.
 
     The g = 2 coefficient rule certifies "yes".  Otherwise the first d (the
     paper's witness rho^(b-1) first, then 2..2g^2) whose theta^d has a minimal
-    polynomial of degree < 2g certifies "no"; finding none certifies nothing.
+    polynomial of degree < 2g certifies "no"; finding none certifies nothing,
+    and power_test_bound = 2g^2 says how far the scan went.
+
+    The scan over 2..2g^2 tests only the admissible d (_admissible), and still
+    finds the first d that drops the degree, by this argument.  Let f be
+    irreducible of degree 2g, with roots theta_1..theta_2g.
+    1. The char poly prod (t - theta_i^d) of theta^d is a power of its minimal
+       polynomial.  So if theta^d drops the degree, theta_i^d = theta_j^d for
+       two distinct roots, and zeta = theta_i/theta_j != 1 is a root of unity
+       of some order n | d; theta^n drops the degree too.  The first dropping
+       d in 2..2g^2 is therefore such an n.
+    2. Q(zeta_n) lies in the splitting field of f.  Its Galois group permutes
+       the g pairs {theta, q/theta}, which partition the roots (theta = q/theta
+       would make theta^2 = q, so f = t^2 - q, which is not ordinary).  So the
+       group embeds in the hyperoctahedral group C_2 wr S_g of order 2^g * g!,
+       and phi(n) divides 2^g * g! (Howe & Zhu, J. Number Theory 92, 2002).
+    3. Q(zeta_n) also lies in Q(theta_i, theta_j), of degree 2g * m over Q,
+       where m = 1 if theta_j = q/theta_i and m <= 2g - 2 otherwise (theta_j
+       is then a root of f / ((t - theta_i)(t - q/theta_i)) over Q(theta_i)).
+       So phi(n) divides 2g * m, and phi(n) / gcd(phi(n), 2g) divides m.
     """
     if f.g == 2 and absolutely_simple_g2(f):
         return "certified_yes", None, None
     bound = 2 * f.g * f.g
     first = [tup.dpow] if tup is not None and tup.b > 1 else []
+    # the admissible d are decided as the scan reaches them: most scans stop early
+    scan = filter(lambda d: _admissible(d, f.g), range(2, bound + 1))
     s: list[int] = []  # power sums of f, shared by every d
-    for d in first + list(range(2, bound + 1)):
+    for d in itertools.chain(first, scan):
         if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g:
             return "certified_no", d, None
     return "inconclusive", None, bound

@@ -217,6 +217,19 @@ class TestSearch:
         code, table, _ = run(capsys, "report", "--in", str(path))
         assert code == 0 and hashlib.sha256(table.encode()).hexdigest() == table_digest
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_q1024_sweep_is_pinned(self, capsys, tmp_path, workers):
+        # 1,664 reports; each of its 278 (7,1) rows runs the whole
+        # absolute-simplicity scan to 2g^2 = 18
+        path = tmp_path / "sweep.jsonl"
+        code, _, err = run(
+            capsys, "search", "--rho", "5,7", "--b", "1,2", "--q-max", "1024",
+            "--no-timings", "--workers", workers, "--out", str(path),
+        )
+        assert code == 0 and "absolutely_simple_inconclusive=278" in err
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "4d4197e917209add314ea75aed1df9fe5bac24b5ce136771f7c84942e12e0000"
+
     def test_repeated_list_entries_count_once(self, capsys, tmp_path):
         # --rho, --b and --r are sets: a repeated entry adds no report
         once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"

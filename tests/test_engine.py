@@ -36,6 +36,7 @@ from weilpoly.numtheory import primes_first
 T1 = ParamTuple(rho=5, b=1, r=2, p=5, n=1, m=0)
 T2 = ParamTuple(rho=5, b=1, r=3, p=2, n=2, m=0)
 T3 = ParamTuple(rho=5, b=2, r=2, p=5, n=1, m=0)
+TENTH = IntPoly((32, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))  # t^10 + t^5 + 32, a 2-polynomial
 
 
 def P(*coeffs):
@@ -146,6 +147,50 @@ class TestCertificates:
         # no power up to 2g^2 = 18 drops the degree: no verdict
         t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
         assert scan(construct(t71), t71) == ("inconclusive", None, 18)
+
+    def test_admissible_orders(self):
+        # the d <= 2g^2 the scan skips: phi(d) does not divide 2^g * g!, or
+        # phi(d) / gcd(phi(d), 2g) exceeds max(1, 2g - 2)
+        def skipped(g):
+            return [d for d in range(2, 2 * g * g + 1) if not engine._admissible(d, g)]
+
+        assert skipped(1) == []
+        assert skipped(2) == [7]
+        assert skipped(3) == [11, 17]
+        assert skipped(5) == [19, 23, 27, 29, 35, 37, 38, 39, 43, 45, 46, 47, 49]
+        assert len(skipped(8)) == 36
+
+    def test_witness_whose_totient_does_not_divide_2g(self):
+        # t^10 + t^5 + 32, q = 2: theta^5 drops the degree, and phi(5) = 4 does
+        # not divide 2g = 10, so a scan of the d with phi(d) | 2g would miss it
+        rep = classify((TENTH, 2))
+        assert rep.is_q_polynomial and rep.ordinary and rep.simple
+        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_no", 5, None)
+
+    def test_pruned_scan_matches_full_scan(self):
+        # the scan over admissible d against a scan over every d in 2..2g^2
+        def full_scan(f, tup):
+            if f.g == 2 and absolutely_simple_g2(f):
+                return "certified_yes", None, None
+            first = [tup.dpow] if tup is not None and tup.b > 1 else []
+            s: list[int] = []
+            for d in first + list(range(2, 2 * f.g * f.g + 1)):
+                if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g:
+                    return "certified_no", d, None
+            return "inconclusive", None, 2 * f.g * f.g
+
+        def valid(rho, q_max):
+            tuples = SearchRange(rhos=(rho,), bs=(1,), q_max=q_max).candidate_tuples()
+            return [t for t in tuples if all(c.passed for c in validate_tuple(t))]
+
+        inputs = [(construct(t), t) for t in valid(7, 64) + valid(11, 128)[:3]]
+        inputs += [(check_q_symmetry(TENTH, 5, 2), None), (construct(T3), None)]
+        verdicts = Counter()
+        for f, tup in inputs:
+            verdict = engine._absolute_simplicity(f, tup)
+            assert verdict == full_scan(f, tup), (f.poly.to_string(), f.q)
+            verdicts[verdict[:2]] += 1
+        assert verdicts == {("inconclusive", None): 31, ("certified_no", 5): 2}
 
     def test_g2_rule_agrees_with_power_scan(self):
         # differential check of the coefficient rule against the scan over
@@ -375,11 +420,11 @@ class TestSearch:
 
 class TestReportSerialization:
     def test_stable_field_contract(self):
-        from weilpoly.engine import CSV_FIELDS, REPORT_FIELDS, TUPLE_KEYS
+        from weilpoly.engine import CSV_FIELDS, REPORT_FIELDS, TUPLE_KEYS, csv_row
 
         rep = classify(T1)
         d = rep.to_json_dict(include_timings=True)
         assert list(d)[: len(REPORT_FIELDS) + 1] == ["tuple", *REPORT_FIELDS]
         assert list(d["tuple"]) == list(TUPLE_KEYS)
         assert "timings_ms" in d
-        assert len(rep.to_csv_row()) == len(CSV_FIELDS)
+        assert len(csv_row(d)) == len(CSV_FIELDS)
