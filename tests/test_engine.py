@@ -144,6 +144,11 @@ class TestCertificates:
 
         # theta = i*sqrt(q): theta^2 = -q is rational
         assert scan(check_q_symmetry(P(5, 0, 1), 1, 5), None) == ("certified_no", 2, None)
+        # theta^5 drops the degree, and phi(5) = 4 does not divide 2g = 10, so
+        # a scan of the d with phi(d) | 2g would miss it
+        rep = classify((TENTH, 2))
+        assert rep.is_q_polynomial and rep.ordinary and rep.simple
+        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_no", 5, None)
         # no power up to 2g^2 = 18 drops the degree: no verdict
         t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
         assert scan(construct(t71), t71) == ("inconclusive", None, 18)
@@ -159,13 +164,6 @@ class TestCertificates:
         assert skipped(3) == [11, 17]
         assert skipped(5) == [19, 23, 27, 29, 35, 37, 38, 39, 43, 45, 46, 47, 49]
         assert len(skipped(8)) == 36
-
-    def test_witness_whose_totient_does_not_divide_2g(self):
-        # t^10 + t^5 + 32, q = 2: theta^5 drops the degree, and phi(5) = 4 does
-        # not divide 2g = 10, so a scan of the d with phi(d) | 2g would miss it
-        rep = classify((TENTH, 2))
-        assert rep.is_q_polynomial and rep.ordinary and rep.simple
-        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_no", 5, None)
 
     def test_pruned_scan_matches_full_scan(self):
         # the scan over admissible d against a scan over every d in 2..2g^2
