@@ -20,7 +20,10 @@ with p), simplicity (irreducibility via reduction mod r against the
 rho^b-th cyclotomic polynomial), and absolute simplicity (the dimension-2
 coefficient rule, or minimal polynomials of root powers theta^d, for the
 paper's witness d = rho^(b-1) and then for the d <= 2g^2 that can be the
-order of a ratio of two roots; see _admissible).
+order of a ratio of two roots; see _admissible).  For a tuple, a ratio of two
+roots that is a root of unity has order dividing rho^b (2*rho^b when r = 2),
+so a scan that passes that order without a drop certifies absolute
+simplicity; see _order_bound.
 """
 
 from __future__ import annotations
@@ -310,13 +313,48 @@ def _admissible(d: int, g: int) -> bool:
     return (2 ** g * factorial(g)) % phi == 0 and phi // gcd(phi, 2 * g) <= max(1, 2 * g - 2)
 
 
+def _order_bound(tup: ParamTuple) -> int:
+    """D = rho^b for odd r, 2*rho^b for r = 2: for a tuple whose certify_simple
+    certificate holds, every root of unity theta_i/theta_j has order dividing D
+    (the proof is in _absolute_simplicity)."""
+    return (2 if tup.r == 2 else 1) * tup.rho ** tup.b
+
+
 def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, int | None, int | None]:
-    """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial.
+    """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial;
+    tup, when given, is the tuple whose certify_simple certificate f carries.
 
     The g = 2 coefficient rule certifies "yes".  Otherwise the first d (the
     paper's witness rho^(b-1) first, then 2..2g^2) whose theta^d has a minimal
-    polynomial of degree < 2g certifies "no"; finding none certifies nothing,
-    and power_test_bound = 2g^2 says how far the scan went.
+    polynomial of degree < 2g certifies "no".  Finding none certifies "yes"
+    for a tuple whose order bound D = _order_bound(tup) is at most 2g^2, since
+    the scan has then tested theta^D; otherwise it certifies nothing, and
+    power_test_bound = 2g^2 says how far the scan went.
+
+    Absolutely simple means that no theta^d, d >= 1, has a minimal polynomial
+    of degree < 2g (Howe & Zhu, J. Number Theory 92, 2002).  The order bound:
+    let f carry the tuple's certificate, f = Phi_(rho^b) mod r with r a
+    primitive root mod rho^2 (so r != rho), and let zeta = theta_i/theta_j be a
+    root of unity of order n > 1.
+    a. f mod r is separable (x^(rho^b) - 1 is, as r does not divide rho^b), so
+       r does not divide the discriminant of f, and the splitting field K of f
+       is unramified at r.  Q(zeta_n) lies in K, so it is unramified at r too.
+       Q(zeta_n) is ramified at every prime dividing n, except at 2 when
+       n = 2 mod 4 (then Q(zeta_n) = Q(zeta_(n/2))).  So r does not divide n,
+       or r = 2 and n = 2n' with n' odd.
+    b. The roots multiply to q^g, and r does not divide q (q = 1 mod r), so
+       every root is a unit at a prime R of K above r.  Modulo R the roots
+       reduce to roots of Phi_(rho^b) mod r, that is to rho^b-th roots of unity
+       in the residue field, and so does zeta = theta_i * theta_j^(-1).
+    c. Let n' be the part of n prime to r, and zeta' = zeta^(n/n'), of order n'.
+       Reduction mod R is injective on the n'-th roots of unity, because
+       x^(n') - 1 stays separable mod r.  zeta'^(rho^b) reduces to 1 by b, so
+       zeta'^(rho^b) = 1 and n' divides rho^b.  With a, n divides rho^b for odd
+       r and 2*rho^b for r = 2: n divides D.
+    So if some theta^d dropped the degree, theta_i^d = theta_j^d for two
+    distinct roots (step 1 below), their ratio has an order n > 1 dividing D,
+    and theta^D drops the degree too.  phi(D) = phi(rho^b) = 2g, so D is
+    admissible, and a scan that passes D without a drop proves "yes".
 
     The scan over 2..2g^2 tests only the admissible d (_admissible), and still
     finds the first d that drops the degree, by this argument.  Let f be
@@ -346,6 +384,8 @@ def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, i
     for d in itertools.chain(first, scan):
         if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g:
             return "certified_no", d, None
+    if tup is not None and _order_bound(tup) <= bound:
+        return "certified_yes", None, None
     return "inconclusive", None, bound
 
 

@@ -59,19 +59,21 @@ def ff_gcd(a: tuple[int, ...], b: tuple[int, ...], r: int) -> tuple[int, ...]:
 
 
 def powmod(base: tuple[int, ...], e: int, f: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """base^e mod f over F_r, by square-and-multiply."""
+    """base^e mod f over F_r, by left-to-right square-and-multiply from the
+    reduced base: bit_length(e) - 1 squarings and one product per further set bit."""
     if len(f) < 2:
         raise ValueError("modulus polynomial must be nonconstant")
     if e < 0:
         raise ValueError("negative exponent")
-    result = (1,)
-    acc = _rem(base, f, r)
-    while e:
-        if e & 1:
-            result = _mulmod(result, acc, f, r)
+    if e == 0:
+        return (1,)
+    base = _rem(base, f, r)
+    acc = base
+    for bit in bin(e)[3:]:
         acc = _mulmod(acc, acc, f, r)
-        e >>= 1
-    return result
+        if bit == "1":
+            acc = _mulmod(acc, base, f, r)
+    return acc
 
 
 def is_irreducible_mod(coeffs: Iterable[int], r: int) -> bool:

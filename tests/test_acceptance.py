@@ -218,10 +218,10 @@ def test_ac9_sweep_determinism(tmp_path):
     assert blob == paths[2].read_bytes()
     # the headline sweep's bytes, JSONL and CSV, are pinned
     assert hashlib.sha256(blob).hexdigest() == (
-        "dce664d89d62c5c35f59e340c6e8c778a9c8134a3e73eabc26f9f8dc53ba2c75"
+        "22e7b9180188fa99051487f1ba20759ed560f10a15b5b61b6ccdc8b8ca6c2c33"
     )
     csv_path = tmp_path / "d.csv"
     assert main(args + ["--format", "csv", "--out", str(csv_path)]) == 0
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
-        "54001bff9acb68735fe4416ffc28b98fae3ba5469ec44947c7604b49de46da4a"
+        "d1892fbb6dfe66036e165434c21d6d014862f3f5f31c29f16bf6140f723a061d"
     )

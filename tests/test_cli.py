@@ -195,9 +195,9 @@ class TestSearch:
         [
             pytest.param(
                 ("--rho", "5,7", "--b", "1,2", "--q-max", "64"),
-                "tuples=170 q_polynomial=170 ordinary=170 simple=170 absolutely_simple_yes=56 "
-                "absolutely_simple_no=86 absolutely_simple_inconclusive=28 ll_passed=170",
-                "e27b086082633745cbe5eb0bd32bec0b37ffd10eaffe56b7825f662236fb5ce6",
+                "tuples=170 q_polynomial=170 ordinary=170 simple=170 absolutely_simple_yes=84 "
+                "absolutely_simple_no=86 absolutely_simple_inconclusive=0 ll_passed=170",
+                "836b526226530fa3d30bce692fbd4943fc3d88652c3aefa94fc227633b644ad6",
                 id="headline",
             ),
             pytest.param(
@@ -220,15 +220,16 @@ class TestSearch:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_q1024_sweep_is_pinned(self, capsys, tmp_path, workers):
         # 1,664 reports; each of its 278 (7,1) rows runs the whole
-        # absolute-simplicity scan to 2g^2 = 18
+        # absolute-simplicity scan to 2g^2 = 18, which passes the order
+        # bound D = 7 and so certifies absolute simplicity
         path = tmp_path / "sweep.jsonl"
         code, _, err = run(
             capsys, "search", "--rho", "5,7", "--b", "1,2", "--q-max", "1024",
             "--no-timings", "--workers", workers, "--out", str(path),
         )
-        assert code == 0 and "absolutely_simple_inconclusive=278" in err
+        assert code == 0 and "absolutely_simple_yes=831 absolutely_simple_no=833 absolutely_simple_inconclusive=0 " in err
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "4d4197e917209add314ea75aed1df9fe5bac24b5ce136771f7c84942e12e0000"
+        assert digest == "18f969c60c858f65268ea48337e76774488fc99269d1170fbe55eca8c6c71777"
 
     def test_repeated_list_entries_count_once(self, capsys, tmp_path):
         # --rho, --b and --r are sets: a repeated entry adds no report

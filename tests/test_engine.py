@@ -149,9 +149,40 @@ class TestCertificates:
         rep = classify((TENTH, 2))
         assert rep.is_q_polynomial and rep.ordinary and rep.simple
         assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_no", 5, None)
-        # no power up to 2g^2 = 18 drops the degree: no verdict
+        # no power up to 2g^2 = 18 drops the degree, so the scan has passed
+        # the tuple's order bound D = 7 and certifies "yes"; the same
+        # polynomial without its tuple has no order bound and no verdict
         t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
-        assert scan(construct(t71), t71) == ("inconclusive", None, 18)
+        f71 = construct(t71)
+        assert scan(f71, t71) == ("certified_yes", None, None)
+        assert scan(f71, None) == ("inconclusive", None, 18)
+
+    def test_order_bound(self):
+        # rho^b for odd r; at r = 2 a ratio of order 2 mod 4 is unramified, so 2*rho^b
+        bounds = {(5, 1, 2): 10, (5, 1, 3): 5, (7, 1, 3): 7, (11, 1, 2): 22, (13, 1, 2): 26,
+                  (5, 2, 2): 50, (5, 2, 3): 25, (7, 2, 3): 49}
+        for (rho, b, r), bound in bounds.items():
+            assert engine._order_bound(ParamTuple(rho=rho, b=b, r=r, p=5, n=1, m=0)) == bound
+
+    def test_order_bound_certificates_agree_with_the_power_at_the_bound(self):
+        # differential check of the order-bound rule: on every tuple it
+        # certifies, theta^D, computed outside the scan, has full degree 2g.
+        # rho = 13 stops at q <= 9: its scan costs about 0.5 s a tuple
+        grids = [
+            SearchRange(rhos=(5, 7), bs=(1, 2), q_max=64),
+            SearchRange(rhos=(11,), bs=(1,), q_max=64),
+            SearchRange(rhos=(13,), bs=(1,), q_max=9),
+        ]
+        certified = Counter()
+        for rep in itertools.chain.from_iterable(map(search, grids)):
+            if rep.absolutely_simple != "certified_yes":
+                continue
+            if rep.g == 2 and absolutely_simple_g2(check_q_symmetry(rep.poly, 2, rep.q)):
+                continue
+            bound = engine._order_bound(rep.tuple)
+            assert minimal_poly_of_power(rep.poly, bound).degree == 2 * rep.g, rep.tuple
+            certified[rep.tuple.rho, rep.tuple.b, bound] += 1
+        assert certified == {(7, 1, 7): 28, (11, 1, 22): 56, (13, 1, 26): 6}
 
     def test_admissible_orders(self):
         # the d <= 2g^2 the scan skips: phi(d) does not divide 2^g * g!, or
@@ -166,16 +197,13 @@ class TestCertificates:
         assert len(skipped(8)) == 36
 
     def test_pruned_scan_matches_full_scan(self):
-        # the scan over admissible d against a scan over every d in 2..2g^2
-        def full_scan(f, tup):
-            if f.g == 2 and absolutely_simple_g2(f):
-                return "certified_yes", None, None
+        # the scan over admissible d against a scan over every d in 2..2g^2:
+        # the same first dropping d, or none at all (no input has g = 2)
+        def first_drop(f, tup):
             first = [tup.dpow] if tup is not None and tup.b > 1 else []
             s: list[int] = []
-            for d in first + list(range(2, 2 * f.g * f.g + 1)):
-                if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g:
-                    return "certified_no", d, None
-            return "inconclusive", None, 2 * f.g * f.g
+            ds = first + list(range(2, 2 * f.g * f.g + 1))
+            return next((d for d in ds if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g), None)
 
         def valid(rho, q_max):
             tuples = SearchRange(rhos=(rho,), bs=(1,), q_max=q_max).candidate_tuples()
@@ -185,10 +213,12 @@ class TestCertificates:
         inputs += [(check_q_symmetry(TENTH, 5, 2), None), (construct(T3), None)]
         verdicts = Counter()
         for f, tup in inputs:
-            verdict = engine._absolute_simplicity(f, tup)
-            assert verdict == full_scan(f, tup), (f.poly.to_string(), f.q)
-            verdicts[verdict[:2]] += 1
-        assert verdicts == {("inconclusive", None): 31, ("certified_no", 5): 2}
+            verdict, witness, _ = engine._absolute_simplicity(f, tup)
+            assert witness == first_drop(f, tup), (f.poly.to_string(), f.q)
+            assert (verdict == "certified_no") == (witness is not None)
+            verdicts[verdict, witness] += 1
+        # the 31 tuples without a drop pass their order bound 7 or 22 <= 2g^2
+        assert verdicts == {("certified_yes", None): 31, ("certified_no", 5): 2}
 
     def test_g2_rule_agrees_with_power_scan(self):
         # differential check of the coefficient rule against the scan over
@@ -234,11 +264,21 @@ class TestClassify:
 
     def test_b2_witness_without_degree_drop_is_not_certified(self, monkeypatch):
         # if theta^5 did not lie in a proper subfield, the b = 2 witness
-        # proves nothing: the general power scan decides instead
+        # proves nothing: the general power scan decides instead, and with no
+        # power dropping the degree it passes the order bound D = 2 * 5^2 = 50
+        # <= 2g^2 = 200 of the certificate mod r = 2, which certifies "yes"
         monkeypatch.setattr(engine, "minimal_poly_of_power", lambda f, d, s: f)
         rep = classify(T3)
-        assert rep.absolutely_simple == "inconclusive"
-        assert rep.witness_d is None
+        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
+
+    def test_order_bound_past_the_scan_certifies_nothing(self, monkeypatch):
+        # without the g = 2 rule, (5, 1) at r = 2 has D = 10 > 2g^2 = 8: the
+        # scan never tests theta^10, so it certifies nothing; at r = 3, D = 5
+        monkeypatch.setattr(engine, "absolutely_simple_g2", lambda f: False)
+        rep = classify(T1)
+        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("inconclusive", None, 8)
+        rep = classify(T2)
+        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
 
     def test_raw_absolute_simplicity_golden(self):
         # every raw-input verdict, witness and scan bound, pinned: g = 3 grids

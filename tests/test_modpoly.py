@@ -101,8 +101,11 @@ class TestPowmod:
             return tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=degree, max_size=degree))) + (lead,)
 
         f = poly(n, data.draw(st.integers(2, r - 1)) if r > 2 else 1)  # non-monic where F_r allows it
-        base = poly(data.draw(st.integers(n, 2 * n + 1)), data.draw(st.integers(1, r - 1)))
-        e = data.draw(st.integers(0, 2 ** 64 - 1))
+        if data.draw(st.integers(0, 4)):
+            base = poly(data.draw(st.integers(n, 2 * n + 1)), data.draw(st.integers(1, r - 1)))
+        else:
+            base = ()  # the zero polynomial
+        e = data.draw(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 64 - 1)))
         assert powmod(base, e, f, r) == from_gf(gf_pow_mod(gf(base, r), e, gf(f, r), r, ZZ))
 
         # a common factor, so that the gcd is often nonconstant
