@@ -12,18 +12,19 @@ whose sign is one integer comparison.
 
 The numeric oracle is deliberately independent of the Sturm route and is
 used to cross-check it.  It finds all distinct roots of f by Durand-Kerner
-sweeps in fixed-point integer arithmetic at high precision, started from
-double-precision roots that Aberth's iteration finds in Python complex
-arithmetic.  It accepts as many distinct roots as the radical's degree, each
-with a backward error bounded in integer arithmetic.  The start points
-decide only how many sweeps the iteration takes.
+sweeps in fixed-point integer arithmetic, raised to high precision sweep by
+sweep, started from double-precision roots that Aberth's iteration finds in
+Python complex arithmetic.  It accepts as many distinct roots as the
+radical's degree, each with a backward error bounded in integer arithmetic.
+The start points decide only how many sweeps the iteration takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, inf, isfinite, isinf, isqrt, pi, sin
+from math import cos, gcd, inf, isfinite, isinf, isqrt, pi, sin
+from sys import float_info
 
 from .errors import WeilPolyError
 from .intpoly import IntPoly, QPolynomial, poly_gcd, remainder_sequence, squarefree_part
@@ -255,17 +256,20 @@ class RootReport:
 
 
 def _seed_roots(f: IntPoly) -> list[complex]:
-    """Double-precision starting points for numeric_roots: all roots of f by
-    Aberth's simultaneous iteration (O. Aberth, Math. Comp. 27, 1973; D.
-    Bini, Numer. Algorithms 13, 1996) in Python complex arithmetic.
+    """Double-precision starting points for numeric_roots: all roots of f =
+    R(t^e), e the gcd of the exponents of f's terms, as the e-th roots of the
+    roots of R times the e-th roots of unity.  Aberth's simultaneous iteration
+    (O. Aberth, Math. Comp. 27, 1973; D. Bini, Numer. Algorithms 13, 1996)
+    finds the roots of R in Python complex arithmetic.
 
-    f is scaled by z = 2^k * w, with 2^k near the geometric mean of the root
+    R is scaled by z = 2^k * w, with 2^k near the geometric mean of its root
     moduli, so that the scaled coefficients fit a float.  Returns only
     finite seeds, possibly none.
     """
-    c, n = f.coeffs, f.degree
+    e = gcd(*(i for i, c in enumerate(f.coeffs) if c))
+    c, n = f.coeffs[::e], f.degree // e
     k = round((abs(c[0]).bit_length() - abs(c[-1]).bit_length()) / n)
-    if abs(k) > 1000:  # 2^k is outside the float range
+    if abs(k) > 1000 * e:  # 2^(k/e) is outside the float range
         return []
     try:
         # monic in w, low degree first
@@ -289,36 +293,59 @@ def _seed_roots(f: IntPoly) -> list[complex]:
                     largest_move = max(largest_move, abs(move) / abs(z))
         if largest_move < 1e-14:
             break
-    seeds = [z * 2.0 ** k for z in w]
+    unity = [complex(cos(2 * pi * j / e), sin(2 * pi * j / e)) for j in range(e)]
+    seeds = [z ** (1 / e) * 2.0 ** (k / e) * u for z in w for u in unity]
     return [z for z in seeds if isfinite(z.real) and isfinite(z.imag)]
 
 
-def _fixed_horner(a: list[int], x: int, y: int, bits: int) -> tuple[int, int]:
-    """2^bits * p((x + iy) / 2^bits), p monic with lower coefficients a, by Horner with floored products."""
+def _fixed_horner(a: list[int], x: int, y: int, bits: int, e: int = 1) -> tuple[int, int]:
+    """2^bits * p(z^e), z = (x + iy) / 2^bits and p monic with lower
+    coefficients a: z^e by square-and-multiply, then Horner, with floored products."""
+    zx, zy = x, y
+    for bit in bin(e)[3:]:
+        zx, zy = (zx * zx - zy * zy) >> bits, (zx * zy) >> bits - 1
+        if bit == "1":
+            zx, zy = (zx * x - zy * y) >> bits, (zx * y + zy * x) >> bits
     px, py = 1 << bits, 0
     for c in reversed(a):
-        px, py = ((px * x - py * y) >> bits) + c, (px * y + py * x) >> bits
+        px, py = ((px * zx - py * zy) >> bits) + c, (px * zy + py * zx) >> bits
     return px, py
 
 
-def _durand_kerner(a: list[int], roots: list[tuple[int, int]], bits: int, tol: int) -> list[tuple[int, int]]:
+def _sweep(a: list[int], e: int, roots: list[tuple[int, int]], bits: int) -> int:
+    """One Durand-Kerner sweep on p(t) = R(t^e), R monic with lower coefficients
+    a, in place; returns the largest squared move."""
+    largest = 0
+    for i, (x, y) in enumerate(roots):
+        (px, py), dx, dy = _fixed_horner(a, x, y, bits, e), 1 << bits, 0
+        for u, v in ((x - u, y - v) for u, v in roots if u != x or v != y):
+            dx, dy = (dx * u - dy * v) >> bits, (dx * v + dy * u) >> bits
+        nd = dx * dx + dy * dy
+        if nd:  # else the product underflowed
+            cx, cy = ((px * dx + py * dy) << bits) // nd, ((py * dx - px * dy) << bits) // nd
+            roots[i] = (x - cx, y - cy)
+            largest = max(largest, cx * cx + cy * cy)
+    return largest
+
+
+def _durand_kerner(c: list[int], roots: list[tuple[int, int]], bits: int, tol: int) -> list[tuple[int, int]]:
     """Durand-Kerner sweeps (Durand 1960; Kerner, Numer. Math. 8, 1966) on the
-    monic p with lower coefficients a, in fixed point: x + iy is the integer
-    pair (x, y) over 2^bits.  Each root z in turn moves by p(z) / d, d the
-    product of the nonzero z - w over the roots w, until every squared move
-    is below tol, for at most 200 sweeps."""
+    monic p(t) = R(t^e) with coefficients c over c[-1], e the gcd of p's
+    exponents, in fixed point: x + iy is the integer pair (x, y) over 2^k.
+    Each root z in turn moves by R(z^e) / d, d the product of the nonzero
+    z - w over all the roots w.  The roots enter at k = 128 < bits; one sweep
+    runs at each k = 128, 256, ... below bits, the roots shifted up to the
+    next k, then sweeps at k = bits until every squared move is below tol, for
+    at most 200 sweeps."""
+    e = gcd(*(i for i, ci in enumerate(c) if ci))
+    c, roots, k = c[::e], list(roots), 128
+    while k < bits:
+        _sweep([(ci << k) // c[-1] for ci in c[:-1]], e, roots, k)
+        step = min(2 * k, bits) - k
+        roots, k = [(x << step, y << step) for x, y in roots], k + step
+    a = [(ci << bits) // c[-1] for ci in c[:-1]]
     for _ in range(200):
-        largest = 0
-        for i, (x, y) in enumerate(roots):
-            (px, py), dx, dy = _fixed_horner(a, x, y, bits), 1 << bits, 0
-            for u, v in ((x - u, y - v) for u, v in roots if u != x or v != y):
-                dx, dy = (dx * u - dy * v) >> bits, (dx * v + dy * u) >> bits
-            nd = dx * dx + dy * dy
-            if nd:  # else the product underflowed
-                cx, cy = ((px * dx + py * dy) << bits) // nd, ((py * dx - px * dy) << bits) // nd
-                roots[i] = (x - cx, y - cy)
-                largest = max(largest, cx * cx + cy * cy)
-        if largest < tol:
+        if _sweep(a, e, roots, bits) < tol:
             break
     return roots
 
@@ -339,9 +366,9 @@ def _residual_certified(a: list[int], z: tuple[int, int], bits: int, half: int) 
 def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None = None) -> RootReport:
     """All distinct roots of f by _durand_kerner on the radical r of f (its
     sweeps stall on a cluster of equal roots) at 3/2 of the working precision,
-    from _seed_roots, which change the number of sweeps, not the report.  The
-    roots, rounded to multiples of 2^-work, must be deg r distinct points z,
-    each with |r(z)| <= 2^(-precision_bits/2) * sum_i |r_i| |z|^i, else the
+    from _seed_roots(r), which change the number of sweeps, not the report.
+    The roots, rounded to multiples of 2^-work, must be deg r distinct points
+    z, each with |r(z)| <= 2^(-precision_bits/2) * sum_i |r_i| |z|^i, else the
     working precision doubles; WeilPolyError is raised after four attempts."""
     if f.degree < 1:
         raise ValueError("numeric_roots expects a nonconstant polynomial")
@@ -354,21 +381,25 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
     r = squarefree_part(f)
     seeds = _seed_roots(r)
     seeds += [(0.4 + 0.9j) ** k for k in range(len(seeds), r.degree)]  # mpmath's start points
+    start = [tuple((n << 128) // d for n, d in (z.real.as_integer_ratio(), z.imag.as_integer_ratio()))
+             for z in map(complex, seeds)]  # at 128 bits, where _durand_kerner takes them
     for attempt in range(1, 5):
         bits, s = work + work // 2, work // 2  # s guard bits
         one = 1 << bits
         a = [(c << bits) // r.lc for c in r.coeffs[:-1]]
-        start = [tuple(int(Fraction(t) * one) for t in (z.real, z.imag)) for z in map(complex, seeds)]
         # the guard bits hold rounding noise, which would make the report depend
         # on the seeds; like mpmath's cleanup, rounding zeroes parts below 2^-work/2
         roots = [((x + (1 << s - 1)) >> s << s, (y + (1 << s - 1)) >> s << s)
-                 for x, y in _durand_kerner(a, start, bits, 1 << 2 * s)]
+                 for x, y in _durand_kerner(r.coeffs, start, bits, 1 << 2 * s)]
         if len(set(roots)) == r.degree and all(_residual_certified(a, z, bits, precision_bits // 2) for z in roots):
             roots.sort(key=lambda z: (abs(z[1]), z[0], z[1]))
             zs = tuple(complex(x / one, y / one) for x, y in roots)
-            devs = None if q is None else tuple(  # | |z|^2 - q | = | |z| - sqrt(q) | (|z| + sqrt(q))
-                abs(x * x + y * y - (q << 2 * bits)) / one**2 / (q**0.5 * (abs(z) + q**0.5))
-                for (x, y), z in zip(roots, zs)
+            # | |z|^2 - q | = | |z| - sqrt(q) | (|z| + sqrt(q)), taken at z / 2^k and q / 4^k,
+            # where k = 0 unless q is past the float range
+            k = 0 if q is None or q <= float_info.max else q.bit_length() // 2
+            devs = None if q is None else tuple(
+                abs(x * x + y * y - (q << 2 * bits)) / (one**2 << 2 * k) / (sq * (abs(z) / 2**k + sq))
+                for (x, y), z in zip(roots, zs) for sq in [(q / 4**k) ** 0.5]
             )
             return RootReport(zs, devs, max(devs) if devs else None, work, attempt)
         work *= 2

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from numeric_oracle import plain_numeric_roots
 from weilpoly import analysis
 from weilpoly.analysis import (
     _isolate_root_outside,
@@ -19,6 +20,7 @@ from weilpoly.analysis import (
     real_weil_transform,
     sturm_chain,
 )
+from weilpoly.engine import SearchRange, construct, validate_tuple
 from weilpoly.errors import WeilPolyError
 from weilpoly.intpoly import IntPoly, check_q_symmetry, squarefree_part
 from weilpoly.surd import QuadSurd
@@ -61,6 +63,20 @@ def symmetric_poly(g, q, upper):
         coeffs[j] = q ** (g - j) * upper[j - 1]
     coeffs[g] = upper[g - 1]
     return check_q_symmetry(IntPoly(coeffs), g, q)
+
+
+def stretched(f, e):
+    """f(t^e)."""
+    coeffs = [0] * (e * f.degree + 1)
+    coeffs[::e] = f.coeffs
+    return IntPoly(coeffs)
+
+
+def report_or_error(roots_of, f, **kwargs):
+    try:
+        return roots_of(f, **kwargs)
+    except WeilPolyError as exc:
+        return str(exc)
 
 
 symmetric_inputs = st.tuples(
@@ -287,9 +303,9 @@ class TestNumericRoots:
         assert (rep.precision_bits, rep.attempts) == (160, 1)
         durand_kerner, calls = analysis._durand_kerner, []
 
-        def fail_once(a, roots, bits, tol):
+        def fail_once(coeffs, roots, bits, tol):
             calls.append(bits)
-            roots = durand_kerner(a, roots, bits, tol)
+            roots = durand_kerner(coeffs, roots, bits, tol)
             return [(x + (x >> 20), y) for x, y in roots] if len(calls) == 1 else roots
 
         monkeypatch.setattr(analysis, "_durand_kerner", fail_once)
@@ -382,8 +398,8 @@ class TestNumericRoots:
         assume(squarefree_part(f).degree == f.degree)
         durand_kerner, runs = analysis._durand_kerner, []
 
-        def spy(a, roots, bits, tol):
-            roots = durand_kerner(a, roots, bits, tol)
+        def spy(coeffs, roots, bits, tol):
+            roots = durand_kerner(coeffs, roots, bits, tol)
             runs.append((list(roots), bits))
             return roots
 
@@ -400,6 +416,88 @@ class TestNumericRoots:
                 assert abs(z - w) <= abs(w) * mpmath.mpf(2) ** -100
                 unmatched.remove(w)
         assert unmatched == []
+
+    def test_family_tuples_match_the_plain_iteration(self):
+        # six (rho, b) families; the b = 2 ones are f(t) = F(t^rho), so their
+        # sweeps run through R(t^e) with e = rho.  Every report (roots,
+        # deviations, precision, attempts) is the plain iteration's
+        grids = [
+            SearchRange((5, 7), (1,), q_max=128), SearchRange((11,), (1,), q_max=64),
+            SearchRange((13,), (1,), q_max=32), SearchRange((5,), (2,), (2, 3), q_max=64),
+            SearchRange((7,), (2,), q_max=32),
+        ]
+        tuples = [t for grid in grids for t in grid.candidate_tuples() if all(c.passed for c in validate_tuple(t))]
+        assert len(tuples) == 344
+        for t in tuples:
+            f = construct(t).poly
+            assert numeric_roots(f, q=t.q) == plain_numeric_roots(f, q=t.q), t
+
+    @given(st.sampled_from([1, 2, 3, 5]), symmetric_inputs)
+    @example(5, (2, 5, [1, 1, 0, 0, 0, 0, 0, 0]))
+    @settings(max_examples=250)
+    def test_stretched_inputs_match_the_plain_iteration(self, e, data):
+        # f(t) = F(t^e) for a q^e-symmetric F is q-symmetric; on it and on its
+        # radical the report is the plain iteration's, or both raise alike
+        g, q, upper = data
+        g = min(g, max(2, 8 // e))
+        f = stretched(symmetric_poly(g, q ** e, upper[:g]).poly, e)
+        assert report_or_error(numeric_roots, f, q=q) == report_or_error(plain_numeric_roots, f, q=q)
+
+    def test_far_seeds_reach_the_plain_report(self, monkeypatch):
+        # from mpmath's start points alone, far from the roots, the ramp's
+        # sweeps do not converge, and the report still is the plain iteration's
+        inputs = [(stretched(P(9765625, 3125, 1, 1, 1), 5), 5), (stretched(P(64, -8, 1), 3), 4),
+                  (P(25, 5, 1, 1, 1), 5), (P(3 ** 16, *[0] * 31, 1), 3)]
+        expected = [plain_numeric_roots(f, q=q) for f, q in inputs]
+        monkeypatch.setattr(analysis, "_seed_roots", lambda f: [])
+        assert [numeric_roots(f, q=q) for f, q in inputs] == expected
+
+    def test_seeds_lift_the_roots_of_R(self, monkeypatch):
+        # f(t) = R(t^5) for a quartic R: each start point is a fifth root of an
+        # Aberth seed of R times a fifth root of unity, so the 20 start points
+        # lie near the 20 distinct roots, one each
+        f = stretched(P(9765625, 3125, 1, 1, 1), 5)
+        durand_kerner, calls = analysis._durand_kerner, []
+
+        def spy(coeffs, roots, bits, tol):
+            calls.append(list(roots))
+            return durand_kerner(coeffs, roots, bits, tol)
+
+        monkeypatch.setattr(analysis, "_durand_kerner", spy)
+        rep = numeric_roots(f, q=5)
+        [starts] = calls
+        unmatched = list(rep.roots)
+        for x, y in starts:
+            z = complex(x, y) / 2 ** 128
+            w = min(unmatched, key=lambda w: abs(z - w))
+            assert abs(z - w) < 1e-9 * abs(w)
+            unmatched.remove(w)
+        assert unmatched == []
+
+    def test_one_sweep_per_ramp_precision_then_the_stopping_rule(self, monkeypatch):
+        # at 648 bits the iteration takes one sweep at each of 128, 256 and 512
+        # bits, then sweeps at 648 bits until one moves every root by less than
+        # the tolerance, and only then
+        sweep, durand_kerner, calls = analysis._sweep, analysis._durand_kerner, []
+
+        def spy_sweep(a, e, roots, bits):
+            largest = sweep(a, e, roots, bits)
+            calls[-1][2].append((bits, largest))
+            return largest
+
+        def spy(coeffs, roots, bits, tol):
+            calls.append((bits, tol, []))
+            return durand_kerner(coeffs, roots, bits, tol)
+
+        monkeypatch.setattr(analysis, "_sweep", spy_sweep)
+        monkeypatch.setattr(analysis, "_durand_kerner", spy)
+        rep = numeric_roots(stretched(P(9765625, 3125, 1, 1, 1), 5), 400, q=5)
+        [(bits, tol, sweeps)] = calls
+        assert (rep.precision_bits, bits, tol) == (432, 648, 1 << 432)
+        assert [k for k, _ in sweeps[:3]] == [128, 256, 512]
+        full = sweeps[3:]
+        assert full and all(k == bits for k, _ in full)
+        assert [move < tol for _, move in full] == [False] * (len(full) - 1) + [True]
 
     def test_high_degree_binomial(self):
         # t^64 + 3^32: every root has modulus sqrt(3)

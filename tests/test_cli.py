@@ -141,6 +141,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--poly", poly, "--q", "5")
         assert code == 0 and "is_q_polynomial: True" in out
 
+    def test_numeric_deviation_for_q_past_the_float_range(self, capsys):
+        # q >= 2^1024 is no float; the deviation is taken at q / 4^k and z / 2^k
+        q = 2 ** 1100
+        code, out, err = run(capsys, "verify", "--poly", f"{q},0,1", "--q", str(q), "--numeric")
+        assert code == 0 and err == "" and "max_modulus_deviation: 0.0\n" in out
+        # two real roots off the circle, z / sqrt(q) = -(3 +/- sqrt(5)) / 2: not a
+        # q-Weil polynomial, exit 3
+        q = 3 ** 700
+        code, out, err = run(capsys, "verify", "--poly", f"{q},{3 ** 351},1", "--q", str(q), "--numeric")
+        assert code == 3 and err == "" and "max_modulus_deviation: 1.618033988749895\n" in out
+
     def test_search_numeric_oracle_failure_exit_1(self, capsys, monkeypatch, tmp_path):
         # the same failure from the second tuple on: the sweep keeps the
         # report it wrote, prints one error line and no summary, and exits 1
@@ -189,6 +200,18 @@ class TestSearch:
         assert all(row.pop("max_modulus_deviation") < 1e-40 for row in rows)
         rest = "".join(json.dumps(row) + "\n" for row in rows).encode()
         assert hashlib.sha256(rest).hexdigest() == "2f9f3c5fce48a8bbd400a3fa2d97b29e7d992cfb15bb4f77c3c3b692a7f9c5b7"
+
+    def test_numeric_workload_is_pinned(self, capsys, tmp_path):
+        # the benchmark's numeric workload: 107 degree-20 tuples f(t) = F(t^5),
+        # so every row's roots come from the iteration through R(t^e)
+        path = tmp_path / "numeric.jsonl"
+        code, _, _ = run(
+            capsys, "search", "--rho", "5", "--b", "2", "--r", "2,3", "--q-max", "80",
+            "--numeric", "--no-timings", "--out", str(path),
+        )
+        assert code == 0 and len(path.read_text().splitlines()) == 107
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "ab403c64784f8430667ef1afc261e911c37f4a9f9d7869bb5f4ca56a26b86e4e"
 
     @pytest.mark.parametrize(
         "flags, summary, table_digest",
