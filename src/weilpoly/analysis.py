@@ -71,7 +71,8 @@ def sturm_chain(h: IntPoly) -> list[IntPoly]:
     return remainder_sequence(h, h.derivative()) if h.degree >= 1 else [h]
 
 
-def _horner(coeffs, x: int) -> int:
+def horner(coeffs, x: int) -> int:
+    """The integer polynomial with coefficients `coeffs` (low degree first) at x."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -94,7 +95,7 @@ def _sign_at(p: IntPoly, point) -> int:
             raise ValueError(f"{point!r} is neither an integer nor a multiple of sqrt(D)")
         # x = a + b*sqrt(D) has x^2 = a^2 + b^2*D, so p(x) = E(x^2) + x*O(x^2)
         x2 = a * a + b * b * point.D
-        even, odd = _horner(p.coeffs[0::2], x2), _horner(p.coeffs[1::2], x2)
+        even, odd = horner(p.coeffs[0::2], x2), horner(p.coeffs[1::2], x2)
         return QuadSurd(point.D, even + a * odd, b * odd).sign()
     if isinstance(point, Fraction):
         u, v = point.numerator, point.denominator
@@ -377,6 +378,9 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
         precision_bits = max(128, 2 * maxbit + 64)
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
+    # the roots of a q-symmetric f multiply to q^g, so one has modulus >= sqrt(q)
+    if q is not None and isqrt(abs(q)) > float_info.max:
+        raise WeilPolyError("numeric oracle: sqrt(q) is past the float range, and so is a root")
     work = max(precision_bits, maxbit + 32) + 32
     r = squarefree_part(f)
     seeds = _seed_roots(r)
@@ -393,14 +397,17 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
                  for x, y in _durand_kerner(r.coeffs, start, bits, 1 << 2 * s)]
         if len(set(roots)) == r.degree and all(_residual_certified(a, z, bits, precision_bits // 2) for z in roots):
             roots.sort(key=lambda z: (abs(z[1]), z[0], z[1]))
-            zs = tuple(complex(x / one, y / one) for x, y in roots)
             # | |z|^2 - q | = | |z| - sqrt(q) | (|z| + sqrt(q)), taken at z / 2^k and q / 4^k,
             # where k = 0 unless q is past the float range
             k = 0 if q is None or q <= float_info.max else q.bit_length() // 2
-            devs = None if q is None else tuple(
-                abs(x * x + y * y - (q << 2 * bits)) / (one**2 << 2 * k) / (sq * (abs(z) / 2**k + sq))
-                for (x, y), z in zip(roots, zs) for sq in [(q / 4**k) ** 0.5]
-            )
+            try:
+                zs = tuple(complex(x / one, y / one) for x, y in roots)
+                devs = None if q is None else tuple(
+                    abs(x * x + y * y - (q << 2 * bits)) / (one**2 << 2 * k) / (sq * (abs(z) / 2**k + sq))
+                    for (x, y), z in zip(roots, zs) for sq in [(q / 4**k) ** 0.5]
+                )
+            except OverflowError:
+                raise WeilPolyError("numeric oracle: a certified root is past the float range") from None
             return RootReport(zs, devs, max(devs) if devs else None, work, attempt)
         work *= 2
     raise WeilPolyError("numeric oracle: root iteration failed residual certification")

@@ -17,7 +17,10 @@ classify() re-derives every asserted property from scratch, with exact
 certificates: the coefficient symmetry, the root-modulus condition (Sturm),
 the unit-circle sufficiency check, ordinarity (gcd of the middle coefficient
 with p), simplicity (irreducibility via reduction mod r against the
-rho^b-th cyclotomic polynomial), and absolute simplicity (the dimension-2
+rho^b-th cyclotomic polynomial for a tuple; for a bare (f, q), a prime r at
+which f is irreducible, decided on the degree-g real Weil transform h by
+Ben-Or's test and one Legendre symbol, see modular_irreducibility_certificate),
+and absolute simplicity (the dimension-2
 coefficient rule, or minimal polynomials of root powers theta^d, for the
 paper's witness d = rho^(b-1) and then for the d <= 2g^2 that can be the
 order of a ratio of two roots; see _admissible).  For a tuple, a ratio of two
@@ -47,6 +50,7 @@ from .intpoly import (
 from .modpoly import is_irreducible_mod, reduce_mod
 from .numtheory import (
     euler_phi,
+    int_nth_root,
     is_prime,
     is_primitive_root_mod,
     least_prime_primitive_root,
@@ -215,11 +219,57 @@ def modular_irreducibility_certificate(f: IntPoly, tries: int = DEFAULT_RAW_CERT
     """First prime r (among the first `tries`) with f irreducible mod r, or None.
 
     None never claims reducibility; it only means no certificate was found.
+    f must be q-symmetric: monic of degree 2g with coeff(j) = q^(g-j) *
+    coeff(2g-j), q the g-th root of the constant term (positive for even g);
+    otherwise ValueError.  The test at r runs on h = real_weil_transform(f), of
+    degree g, where f(t) = t^g * h(t + q/t):
+
+        f is irreducible mod r  iff  r does not divide q, h is irreducible mod r
+        and t^2 - x*t + q is irreducible over F_r[x]/(h),
+
+    and the quadratic condition is one test in F_r: Legendre(N, r) = -1 for
+    odd r, N = h(2s)*h(-2s) = E(4q)^2 - 4q*O(4q)^2 (s^2 = q, h = E(x^2) +
+    x*O(x^2)), and h(0)*h'(0) odd for r = 2.  It runs before Ben-Or's test of h.
+
+    Proof.  Reduce mod r; write F = F_r.  If r | q, then f = t^g * h(t) has the
+    factor t and degree 2g >= 2: reducible.  Let r not divide q.
+    (<=) Let a be a root of h, so [F(a):F] = g, and theta a root of
+    t^2 - a*t + q, so [F(theta):F(a)] = 2.  theta != 0 and a = theta + q/theta,
+    so f(theta) = theta^g * h(a) = 0 and F(a) lies in F(theta): theta has
+    degree 2g over F, and the monic f of degree 2g is its minimal polynomial.
+    (=>) Let theta be a root of the irreducible f and a = theta + q/theta (f(0)
+    = q^g != 0).  Then h(a) = 0 and theta is a root of t^2 - a*t + q over F(a),
+    so 2g = [F(theta):F] <= 2*[F(a):F] <= 2g.  Both are equalities: h (of
+    degree g, with the root a) is irreducible, and so is t^2 - a*t + q over F(a).
+    The quadratic over L = F(a) = F_(r^g), with h irreducible:
+    - odd r: it is irreducible iff its discriminant c = a^2 - 4q is not a
+      square in L (c = 0 gives a double root), iff c^((r^g - 1)/2) = -1.  That
+      power is Norm(c)^((r - 1)/2), since Norm(c) = c^((r^g - 1)/(r - 1)), and
+      Norm(c) = prod over the conjugates a_i of (a_i - 2s)(a_i + 2s) = h(2s) *
+      h(-2s) = N mod r.  N = 0 mod r means c = 0: Legendre 0, reducible.
+    - r = 2 (q odd, so q = 1): for a = 0, t^2 + 1 = (t + 1)^2 is reducible;
+      a = 0 is a root of the irreducible h only when h = x, so g = 1 and h(0)
+      is even.  For a != 0, t = a*u gives a^2*(u^2 + u + 1/a^2), irreducible
+      iff Tr(1/a^2) = Tr(1/a) = 1 (Artin-Schreier; the trace is invariant
+      under squaring).  Tr(1/a) = sum of 1/a_i = e_(g-1)/e_g = h'(0)/h(0), as
+      signs vanish mod 2; so the quadratic is irreducible iff h(0) and h'(0)
+      are odd (Lidl & Niederreiter, Finite Fields, chapters 2 and 3).
     """
+    g, c0 = f.degree // 2, f.coeff(0)
+    if g < 1:
+        raise ValueError(f"not q-symmetric: degree {f.degree} < 2")
+    q = (-1 if c0 < 0 else 1) * (int_nth_root(abs(c0), g) if c0 else 0)
+    try:
+        h = analysis.real_weil_transform(check_q_symmetry(f, g, q))
+    except ShapeMismatch as exc:
+        raise ValueError(f"not q-symmetric: {exc}") from exc
+    even, odd = analysis.horner(h.coeffs[0::2], 4 * q), analysis.horner(h.coeffs[1::2], 4 * q)
+    norm = even * even - 4 * q * odd * odd  # h(2s) * h(-2s), s^2 = q
     for r in _certificate_primes(tries):
-        if f.lc % r == 0:
+        if q % r == 0:
             continue
-        if is_irreducible_mod(f.coeffs, r):
+        quadratic = h.coeff(0) * h.coeff(1) % 2 == 1 if r == 2 else pow(norm, (r - 1) // 2, r) == r - 1
+        if quadratic and is_irreducible_mod(h.coeffs, r):
             return r
     return None
 

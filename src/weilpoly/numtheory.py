@@ -65,7 +65,7 @@ class PrimePower:
     n: int
 
 
-def _int_nth_root(x: int, n: int) -> int:
+def int_nth_root(x: int, n: int) -> int:
     """floor(x^(1/n)) for x >= 1, n >= 1, by Newton iteration on ints."""
     if n == 1:
         return x
@@ -85,7 +85,7 @@ def prime_power_decompose(q: int) -> PrimePower:
     if q < 2:
         raise NotPrimePower(f"{q} < 2")
     for n in range(q.bit_length(), 0, -1):
-        p = _int_nth_root(q, n)
+        p = int_nth_root(q, n)
         if p ** n == q:
             if is_prime(p):
                 return PrimePower(p, n)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -151,6 +152,21 @@ class TestVerify:
         q = 3 ** 700
         code, out, err = run(capsys, "verify", "--poly", f"{q},{3 ** 351},1", "--q", str(q), "--numeric")
         assert code == 3 and err == "" and "max_modulus_deviation: 1.618033988749895\n" in out
+
+    def test_numeric_roots_past_the_float_range_exit_1(self, capsys):
+        # a root near -2^1030 is certified but is no complex float
+        q = 2 ** 1100
+        code, out, err = run(capsys, "verify", "--poly", f"{q},{2 ** 1030},1", "--q", str(q), "--numeric")
+        assert (code, out) == (1, "")
+        assert err == "error: numeric oracle: a certified root is past the float range\n"
+        # sqrt(q) = 2^1050 is past the float range, and the roots multiply to q:
+        # refused before any iteration
+        q = 2 ** 2100
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--poly", f"{q},0,1", "--q", str(q), "--numeric")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: numeric oracle: sqrt(q) is past the float range, and so is a root\n"
 
     def test_search_numeric_oracle_failure_exit_1(self, capsys, monkeypatch, tmp_path):
         # the same failure from the second tuple on: the sweep keeps the

@@ -4,10 +4,13 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 import sympy
 from ddf_oracle import cyclotomic
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilpoly import engine
 from weilpoly.analysis import exact_modulus_check
@@ -247,7 +250,49 @@ class TestCertificates:
 
     def test_modular_certificate_search(self):
         assert modular_irreducibility_certificate(P(25, 5, 1, 1, 1)) == 2
-        assert modular_irreducibility_certificate(P(-1, 0, 1)) is None  # t^2 - 1
+        # t^2 - 6t + 8 = (t - 2)(t - 4), q = 8: N = 6^2 - 4*8 = 2^2 is a square mod every odd r
+        assert modular_irreducibility_certificate(P(8, -6, 1)) is None
+        for f in (P(2, 1, 0, 1), P(2, 0, 1, 0, 1), P(25, 4, 1, 1, 1), P(1, 0, 2)):
+            with pytest.raises(ValueError):  # odd degree, 2 not a square, a_1 q != 4, not monic
+                modular_irreducibility_certificate(f)
+
+    @staticmethod
+    def _certificate_at(f, r):
+        """modular_irreducibility_certificate(f) with r as the only prime."""
+        with mock.patch.object(engine, "_certificate_primes", lambda tries: (r,)):
+            return modular_irreducibility_certificate(f) == r
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_certificate_through_h_matches_ben_or_on_f(self, data):
+        g = data.draw(st.integers(1, 8), "g")
+        q = data.draw(st.sampled_from([2, 3]) | st.integers(2, 60).map(lambda k: 2 * k)
+                      | st.integers(2, 60).map(lambda k: 2 * k + 1), "q")
+        upper = data.draw(st.lists(st.integers(-40, 40), min_size=g + 1, max_size=g + 1), "a_1..a_g")
+        coeffs = [0] * g + [upper[-1]] + [0] * g
+        coeffs[0], coeffs[2 * g] = q ** g, 1
+        for j, a in enumerate(upper[:-1], start=1):
+            coeffs[2 * g - j], coeffs[j] = a, q ** (g - j) * a
+        f = P(*coeffs)
+        for r in primes_first(engine.DEFAULT_RAW_CERT_PRIMES):
+            assert self._certificate_at(f, r) == is_irreducible_mod(f.coeffs, r), (coeffs, q, r)
+
+    def test_certificate_edge_cases(self):
+        # r | q: f = t^g * h(t) mod r.  t^2 + t + 4 = t(t + 1) mod 2; N = -15 is
+        # 0 mod 3 and 5, and no square mod 7
+        assert not self._certificate_at(P(4, 1, 1), 2)
+        assert modular_irreducibility_certificate(P(4, 1, 1)) == 7
+        # g = 1 with h = x mod 2: t^2 + 3 = (t + 1)^2 mod 2, where h = x has h(0) = 0;
+        # t^2 + t + 3 is irreducible mod 2, and h = x + 1 has h(0) * h'(0) = 1
+        assert not self._certificate_at(P(3, 0, 1), 2) and self._certificate_at(P(3, 1, 1), 2)
+        assert modular_irreducibility_certificate(P(3, 0, 1)) == 5
+        # N = 0 mod r: h = x^2 + 3x + 1 is irreducible mod 3 and N = 21^2 - 20 * 3^2
+        # = 261 = 9 * 29, so x^2 - 4q has a root mod h: f = (t^2 + 1)^2 mod 3
+        f = P(25, 15, 11, 3, 1)
+        assert is_irreducible_mod((1, 3, 1), 3) and not is_irreducible_mod(f.coeffs, 3)
+        assert not self._certificate_at(f, 3)
+        # the ac2 quartic, q = 8: N = 14^2 and every odd prime sees a square, 2 divides q
+        assert modular_irreducibility_certificate(P(64, 16, 2, 2, 1)) is None
 
 
 class TestClassify:

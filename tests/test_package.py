@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -13,7 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from weilpoly.engine import ClassifyOptions
+from weilpoly.engine import ClassifyOptions, classify
+from weilpoly.intpoly import IntPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "weilpoly"
@@ -153,19 +155,37 @@ TRACED_RUNS = [
 ]
 
 
+def _verify_pool() -> list:
+    """The 3,000 bare (f, q) inputs of the benchmark's verify_raw workload,
+    read from perfbench/workloads.py by path."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads.verify_pool()
+
+
+def test_verify_pool_reports_are_pinned():
+    # every report field of the benchmark's raw inputs, which a change to a
+    # certificate path must leave as they are
+    lines = [
+        json.dumps(classify((IntPoly(coeffs), q)).to_json_dict(include_timings=False)) + "\n"
+        for _, coeffs, q, _ in _verify_pool()
+    ]
+    assert len(lines) == 3000
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "7e368cb6e8c3437506d61167dd095ab871ef8ebcdbd1b2af66ec39a2a9ce7a3a"
+
+
 def _trace_src_calls(directory: str) -> dict:
     """Run TRACED_RUNS and every 15th input of the benchmark's verify_raw pool
     through the CLI under sys.setprofile.  Returns the exit codes and the
     (file, first line) of every src/ function that a src/ caller called."""
     from weilpoly import cli
 
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)  # dataclasses look it up
-    spec.loader.exec_module(workloads)
     runs = [[arg.format(dir=directory) for arg in argv] for argv, _ in TRACED_RUNS]
     runs += [
         ["verify", "--poly", ",".join(map(str, coeffs)), "--q", str(q)]
-        for _, coeffs, q, _ in workloads.verify_pool()[::15]
+        for _, coeffs, q, _ in _verify_pool()[::15]
     ]
     src_files = {mod.__file__ for name, mod in sys.modules.items() if name.startswith("weilpoly")}
     seen = set()
