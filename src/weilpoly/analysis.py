@@ -192,10 +192,11 @@ class ModulusCheckResult:
     witness: dict | None = None
 
 
-def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
+def exact_modulus_check(f: QPolynomial, h: IntPoly | None = None) -> ModulusCheckResult:
     """Decide exactly whether every root of f has modulus sqrt(q).
 
-    Reduces f to the degree-g polynomial h, strips multiplicities (dividing h
+    Reduces f to the degree-g polynomial h (real_weil_transform(f), or the
+    given h when the caller has made it), strips multiplicities (dividing h
     by the last element of its Sturm chain, gcd(h, h')), accepts
     endpoint factors (roots t = +/-sqrt(q), which appear in h as roots at
     +/-2*sqrt(q)), and requires all remaining roots of h to be real and
@@ -204,7 +205,7 @@ def exact_modulus_check(f: QPolynomial) -> ModulusCheckResult:
     nonreal roots.
     """
     q = f.q
-    h = real_weil_transform(f)
+    h = real_weil_transform(f) if h is None else h
     chain = sturm_chain(h)
     h0 = h
     if chain[-1].degree > 0:

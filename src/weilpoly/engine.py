@@ -23,10 +23,15 @@ Ben-Or's test and one Legendre symbol, see modular_irreducibility_certificate),
 and absolute simplicity (the dimension-2
 coefficient rule, or minimal polynomials of root powers theta^d, for the
 paper's witness d = rho^(b-1) and then for the d <= 2g^2 that can be the
-order of a ratio of two roots; see _admissible).  For a tuple, a ratio of two
-roots that is a root of unity has order dividing rho^b (2*rho^b when r = 2),
+order of a ratio of two roots; see _admissible).
+
+One lemma has two uses there: f is separable mod its simplicity certificate's
+prime r, so its splitting field is unramified at r, and the order of a root
+of unity theta_i/theta_j is no multiple of r (of 4, when r = 2).  The power
+scan skips those multiples; and for a tuple the lemma gives the factor 2 of
+the order bound: such a ratio has order dividing rho^b (2*rho^b when r = 2),
 so a scan that passes that order without a drop certifies absolute
-simplicity; see _order_bound.
+simplicity.  See _absolute_simplicity and _order_bound.
 """
 
 from __future__ import annotations
@@ -215,14 +220,17 @@ def _certificate_primes(tries: int) -> tuple[int, ...]:
     return tuple(primes_first(tries))
 
 
-def modular_irreducibility_certificate(f: IntPoly, tries: int = DEFAULT_RAW_CERT_PRIMES) -> int | None:
+def modular_irreducibility_certificate(
+    f: IntPoly, tries: int = DEFAULT_RAW_CERT_PRIMES, h: IntPoly | None = None
+) -> int | None:
     """First prime r (among the first `tries`) with f irreducible mod r, or None.
 
     None never claims reducibility; it only means no certificate was found.
     f must be q-symmetric: monic of degree 2g with coeff(j) = q^(g-j) *
     coeff(2g-j), q the g-th root of the constant term (positive for even g);
-    otherwise ValueError.  The test at r runs on h = real_weil_transform(f), of
-    degree g, where f(t) = t^g * h(t + q/t):
+    otherwise ValueError.  The test at r runs on h = real_weil_transform(f)
+    (the given h, when the caller has made it), of degree g, where
+    f(t) = t^g * h(t + q/t):
 
         f is irreducible mod r  iff  r does not divide q, h is irreducible mod r
         and t^2 - x*t + q is irreducible over F_r[x]/(h),
@@ -260,9 +268,11 @@ def modular_irreducibility_certificate(f: IntPoly, tries: int = DEFAULT_RAW_CERT
         raise ValueError(f"not q-symmetric: degree {f.degree} < 2")
     q = (-1 if c0 < 0 else 1) * (int_nth_root(abs(c0), g) if c0 else 0)
     try:
-        h = analysis.real_weil_transform(check_q_symmetry(f, g, q))
+        qpoly = check_q_symmetry(f, g, q)
     except ShapeMismatch as exc:
         raise ValueError(f"not q-symmetric: {exc}") from exc
+    if h is None:
+        h = analysis.real_weil_transform(qpoly)
     even, odd = analysis.horner(h.coeffs[0::2], 4 * q), analysis.horner(h.coeffs[1::2], 4 * q)
     norm = even * even - 4 * q * odd * odd  # h(2s) * h(-2s), s^2 = q
     for r in _certificate_primes(tries):
@@ -355,10 +365,14 @@ class ClassifyOptions:
     with_numeric: bool = False
 
 
-def _admissible(d: int, g: int) -> bool:
-    """Whether phi(d) divides 2^g * g! and phi(d) / gcd(phi(d), 2g) <= max(1, 2g - 2):
+def _admissible(d: int, g: int, r: int) -> bool:
+    """Whether the prime r does not divide d (4 does not divide d when r = 2),
+    phi(d) divides 2^g * g! and phi(d) / gcd(phi(d), 2g) <= max(1, 2g - 2):
     the orders d that a ratio of two distinct roots of a simple ordinary Weil
-    polynomial of degree 2g can have (the proof is in _absolute_simplicity)."""
+    polynomial of degree 2g, separable mod r, can have (the proof is in
+    _absolute_simplicity)."""
+    if d % (4 if r == 2 else r) == 0:
+        return False
     phi = euler_phi(d)
     return (2 ** g * factorial(g)) % phi == 0 and phi // gcd(phi, 2 * g) <= max(1, 2 * g - 2)
 
@@ -370,9 +384,11 @@ def _order_bound(tup: ParamTuple) -> int:
     return (2 if tup.r == 2 else 1) * tup.rho ** tup.b
 
 
-def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, int | None, int | None]:
-    """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial;
-    tup, when given, is the tuple whose certify_simple certificate f carries.
+def _absolute_simplicity(f: QPolynomial, r: int, tup: ParamTuple | None) -> tuple[str, int | None, int | None]:
+    """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial
+    f, irreducible over Q and separable mod the prime r: r is the report's
+    simplicity certificate, tup.r for the tuple tup whose certify_simple
+    certificate f carries, or simple_r for a bare (f, q).
 
     The g = 2 coefficient rule certifies "yes".  Otherwise the first d (the
     paper's witness rho^(b-1) first, then 2..2g^2) whose theta^d has a minimal
@@ -382,38 +398,31 @@ def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, i
     power_test_bound = 2g^2 says how far the scan went.
 
     Absolutely simple means that no theta^d, d >= 1, has a minimal polynomial
-    of degree < 2g (Howe & Zhu, J. Number Theory 92, 2002).  The order bound:
-    let f carry the tuple's certificate, f = Phi_(rho^b) mod r with r a
-    primitive root mod rho^2 (so r != rho), and let zeta = theta_i/theta_j be a
-    root of unity of order n > 1.
-    a. f mod r is separable (x^(rho^b) - 1 is, as r does not divide rho^b), so
-       r does not divide the discriminant of f, and the splitting field K of f
-       is unramified at r.  Q(zeta_n) lies in K, so it is unramified at r too.
-       Q(zeta_n) is ramified at every prime dividing n, except at 2 when
-       n = 2 mod 4 (then Q(zeta_n) = Q(zeta_(n/2))).  So r does not divide n,
-       or r = 2 and n = 2n' with n' odd.
-    b. The roots multiply to q^g, and r does not divide q (q = 1 mod r), so
-       every root is a unit at a prime R of K above r.  Modulo R the roots
-       reduce to roots of Phi_(rho^b) mod r, that is to rho^b-th roots of unity
-       in the residue field, and so does zeta = theta_i * theta_j^(-1).
-    c. Let n' be the part of n prime to r, and zeta' = zeta^(n/n'), of order n'.
-       Reduction mod R is injective on the n'-th roots of unity, because
-       x^(n') - 1 stays separable mod r.  zeta'^(rho^b) reduces to 1 by b, so
-       zeta'^(rho^b) = 1 and n' divides rho^b.  With a, n divides rho^b for odd
-       r and 2*rho^b for r = 2: n divides D.
-    So if some theta^d dropped the degree, theta_i^d = theta_j^d for two
-    distinct roots (step 1 below), their ratio has an order n > 1 dividing D,
-    and theta^D drops the degree too.  phi(D) = phi(rho^b) = 2g, so D is
-    admissible, and a scan that passes D without a drop proves "yes".
+    of degree < 2g (Howe & Zhu, J. Number Theory 92, 2002).  Let f have the
+    roots theta_1..theta_2g, and let zeta = theta_i/theta_j be a root of unity
+    of order n > 1.
+
+    Lemma (no ramification at r).  r does not divide n, or r = 2 and 4 does
+    not divide n.  f mod r is separable: for a tuple, f = Phi_(rho^b) mod r
+    divides x^(rho^b) - 1, which is separable as r is a primitive root mod
+    rho^2, so r != rho; for a bare (f, q), f is irreducible over the perfect
+    field F_r.  So r does not divide the discriminant of f, every Q(theta_i)
+    is unramified at r, and so is their compositum, the splitting field K of
+    f.  Q(zeta_n) lies in K, so it is unramified at r too.  Q(zeta_n) is
+    ramified at every prime dividing n, except at 2 when n = 2 mod 4 (then
+    Q(zeta_n) = Q(zeta_(n/2))) (L. C. Washington, Introduction to Cyclotomic
+    Fields, Prop. 2.3).  It has two uses: the scan skips the d that no ratio
+    can have as its order, and the order bound below needs it for the part of
+    n that r divides (the factor 2 of D at r = 2).
 
     The scan over 2..2g^2 tests only the admissible d (_admissible), and still
-    finds the first d that drops the degree, by this argument.  Let f be
-    irreducible of degree 2g, with roots theta_1..theta_2g.
+    finds the first d that drops the degree, since that d is the order of a
+    ratio of two roots and every such order is admissible:
     1. The char poly prod (t - theta_i^d) of theta^d is a power of its minimal
        polynomial.  So if theta^d drops the degree, theta_i^d = theta_j^d for
        two distinct roots, and zeta = theta_i/theta_j != 1 is a root of unity
        of some order n | d; theta^n drops the degree too.  The first dropping
-       d in 2..2g^2 is therefore such an n.
+       d in 2..2g^2 is therefore such an n, and the lemma holds for it.
     2. Q(zeta_n) lies in the splitting field of f.  Its Galois group permutes
        the g pairs {theta, q/theta}, which partition the roots (theta = q/theta
        would make theta^2 = q, so f = t^2 - q, which is not ordinary).  So the
@@ -423,13 +432,27 @@ def _absolute_simplicity(f: QPolynomial, tup: ParamTuple | None) -> tuple[str, i
        where m = 1 if theta_j = q/theta_i and m <= 2g - 2 otherwise (theta_j
        is then a root of f / ((t - theta_i)(t - q/theta_i)) over Q(theta_i)).
        So phi(n) divides 2g * m, and phi(n) / gcd(phi(n), 2g) divides m.
+
+    The order bound: let f carry the tuple's certificate, f = Phi_(rho^b) mod r.
+    a. The roots multiply to q^g, and r does not divide q (q = 1 mod r), so
+       every root is a unit at a prime R of K above r.  Modulo R the roots
+       reduce to roots of Phi_(rho^b) mod r, that is to rho^b-th roots of unity
+       in the residue field, and so does zeta = theta_i * theta_j^(-1).
+    b. Let n' be the part of n prime to r, and zeta' = zeta^(n/n'), of order n'.
+       Reduction mod R is injective on the n'-th roots of unity, because
+       x^(n') - 1 stays separable mod r.  zeta'^(rho^b) reduces to 1 by a, so
+       zeta'^(rho^b) = 1 and n' divides rho^b.  With the lemma, n divides
+       rho^b for odd r and 2*rho^b for r = 2: n divides D.
+    So if some theta^d dropped the degree, the first dropping d would be an
+    order n > 1 dividing D (step 1), at most D and admissible.  A scan that
+    passes D <= 2g^2 without a drop therefore proves "yes".
     """
     if f.g == 2 and absolutely_simple_g2(f):
         return "certified_yes", None, None
     bound = 2 * f.g * f.g
     first = [tup.dpow] if tup is not None and tup.b > 1 else []
     # the admissible d are decided as the scan reaches them: most scans stop early
-    scan = filter(lambda d: _admissible(d, f.g), range(2, bound + 1))
+    scan = filter(lambda d: _admissible(d, f.g, r), range(2, bound + 1))
     s: list[int] = []  # power sums of f, shared by every d
     for d in itertools.chain(first, scan):
         if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g:
@@ -454,7 +477,7 @@ def classify(
     def clock(name, fn):
         t0 = time.perf_counter()
         out = fn()
-        timings[name] = (time.perf_counter() - t0) * 1000.0
+        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0) * 1000.0
         return out
 
     if isinstance(source, ParamTuple):
@@ -480,7 +503,9 @@ def classify(
             report.method, report.symmetry_fail_index = "shape", exc.index
             return report
 
-    modulus = clock("exact_modulus", lambda: analysis.exact_modulus_check(qpoly))
+    # h serves the modulus check and a bare (f, q)'s simplicity certificate
+    h = clock("exact_modulus", lambda: analysis.real_weil_transform(qpoly))
+    modulus = clock("exact_modulus", lambda: analysis.exact_modulus_check(qpoly, h))
     report.is_q_polynomial = modulus.passed
     report.modulus_witness = modulus.witness
 
@@ -495,10 +520,7 @@ def classify(
         )
         report.simple_r = tup.r if report.simple else None
     else:
-        cert_r = clock(
-            "simple",
-            lambda: modular_irreducibility_certificate(raw_poly),
-        )
+        cert_r = clock("simple", lambda: modular_irreducibility_certificate(raw_poly, h=h))
         report.simple = True if cert_r is not None else None  # None: inconclusive
         report.simple_r = cert_r
 
@@ -507,7 +529,7 @@ def classify(
     )
     if is_weil_simple_ordinary:
         report.absolutely_simple, report.witness_d, report.power_test_bound = clock(
-            "abs_simple", lambda: _absolute_simplicity(qpoly, tup)
+            "abs_simple", lambda: _absolute_simplicity(qpoly, report.simple_r, tup)
         )
 
     if options.with_numeric:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,24 @@ class TestSearch:
         assert code == 0 and "absolutely_simple_yes=831 absolutely_simple_no=833 absolutely_simple_inconclusive=0 " in err
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "18f969c60c858f65268ea48337e76774488fc99269d1170fbe55eca8c6c71777"
+        # no witness is a multiple of its certificate prime r (of 4 at r = 2):
+        # the paper's witness rho^(b-1) is prime to r, and a scan's witness is
+        # the order of a ratio of two roots
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        witnesses = Counter((row["witness_d"], row["simple_r"]) for row in rows if row["witness_d"] is not None)
+        assert witnesses == {(5, 2): 554, (7, 3): 279}
+        assert all(d % (4 if r == 2 else r) for d, r in witnesses)
+
+    def test_rho11_sweep_is_pinned(self, capsys, tmp_path):
+        # the 103 (11,1) reports of the benchmark's abs_scan grid, g = 5, r = 2:
+        # each scan runs over the admissible d to 2g^2 = 50, passing the order
+        # bound D = 22, and so certifies absolute simplicity
+        path = tmp_path / "sweep.jsonl"
+        code, _, err = run(capsys, "search", "--rho", "11", "--b", "1", "--q-max", "128", "--no-timings",
+                           "--out", str(path))
+        assert code == 0 and "tuples=103 " in err and "absolutely_simple_yes=103 " in err
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "9841997aeefddb517e5a0c4e1d80737cf0c2685fffaa90b30d13087b3503e246"
 
     def test_repeated_list_entries_count_once(self, capsys, tmp_path):
         # --rho, --b and --r are sets: a repeated entry adds no report

@@ -11,6 +11,7 @@ import sympy
 from ddf_oracle import cyclotomic
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from perfbench_inputs import verify_pool
 
 from weilpoly import engine
 from weilpoly.analysis import exact_modulus_check
@@ -141,12 +142,14 @@ class TestCertificates:
     def test_power_test_witnesses(self):
         scan = engine._absolute_simplicity
         f20 = construct(T3)
-        assert scan(f20, T3) == ("certified_no", 5, None)
-        assert scan(f20, None) == ("certified_no", 5, None)  # d = 2..4 drop nothing
+        assert scan(f20, 2, T3) == ("certified_no", 5, None)
+        assert scan(f20, 2, None) == ("certified_no", 5, None)  # d = 2..4 drop nothing
         assert minimal_poly_of_power(f20.poly, 5).degree == 4
 
-        # theta = i*sqrt(q): theta^2 = -q is rational
-        assert scan(check_q_symmetry(P(5, 0, 1), 1, 5), None) == ("certified_no", 2, None)
+        # theta = i*sqrt(q): theta^2 = -q is rational; t^2 + 5 is irreducible
+        # mod 11, which allows the even witness 2
+        assert modular_irreducibility_certificate(P(5, 0, 1)) == 11
+        assert scan(check_q_symmetry(P(5, 0, 1), 1, 5), 11, None) == ("certified_no", 2, None)
         # theta^5 drops the degree, and phi(5) = 4 does not divide 2g = 10, so
         # a scan of the d with phi(d) | 2g would miss it
         rep = classify((TENTH, 2))
@@ -157,8 +160,8 @@ class TestCertificates:
         # polynomial without its tuple has no order bound and no verdict
         t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
         f71 = construct(t71)
-        assert scan(f71, t71) == ("certified_yes", None, None)
-        assert scan(f71, None) == ("inconclusive", None, 18)
+        assert scan(f71, 3, t71) == ("certified_yes", None, None)
+        assert scan(f71, 3, None) == ("inconclusive", None, 18)
 
     def test_order_bound(self):
         # rho^b for odd r; at r = 2 a ratio of order 2 mod 4 is unramified, so 2*rho^b
@@ -188,20 +191,30 @@ class TestCertificates:
         assert certified == {(7, 1, 7): 28, (11, 1, 22): 56, (13, 1, 26): 6}
 
     def test_admissible_orders(self):
-        # the d <= 2g^2 the scan skips: phi(d) does not divide 2^g * g!, or
-        # phi(d) / gcd(phi(d), 2g) exceeds max(1, 2g - 2)
-        def skipped(g):
-            return [d for d in range(2, 2 * g * g + 1) if not engine._admissible(d, g)]
+        # the d <= 2g^2 the scan skips at the certificate prime r: multiples of
+        # r (of 4 at r = 2), d with phi(d) not dividing 2^g * g!, and d with
+        # phi(d) / gcd(phi(d), 2g) > max(1, 2g - 2)
+        def skipped(g, r):
+            return [d for d in range(2, 2 * g * g + 1) if not engine._admissible(d, g, r)]
 
-        assert skipped(1) == []
-        assert skipped(2) == [7]
-        assert skipped(3) == [11, 17]
-        assert skipped(5) == [19, 23, 27, 29, 35, 37, 38, 39, 43, 45, 46, 47, 49]
-        assert len(skipped(8)) == 36
+        # a prime past 2g^2 divides no d: the Galois conditions alone
+        assert skipped(1, 1009) == skipped(1, 2) == []
+        assert skipped(2, 1009) == [7]
+        assert skipped(3, 1009) == [11, 17]
+        assert skipped(5, 1009) == [19, 23, 27, 29, 35, 37, 38, 39, 43, 45, 46, 47, 49]
+        assert len(skipped(8, 1009)) == 36
+        # at r = 2 the d = 2 mod 4 stay: Q(zeta_d) = Q(zeta_(d/2)) is unramified at 2
+        assert skipped(2, 2) == [4, 7, 8]
+        assert skipped(2, 3) == [3, 6, 7]
+        assert skipped(3, 2) == [4, 8, 11, 12, 16, 17]
+        assert skipped(3, 3) == [3, 6, 9, 11, 12, 15, 17, 18]
+        assert skipped(5, 2) == [4, 8, 12, 16, 19, 20, 23, 24, 27, 28, 29, 32, 35, 36, 37, 38, 39, 40,
+                                 43, 44, 45, 46, 47, 48, 49]
+        assert len(skipped(8, 2)) == 66 and len(skipped(8, 3)) == 74
 
     def test_pruned_scan_matches_full_scan(self):
-        # the scan over admissible d against a scan over every d in 2..2g^2:
-        # the same first dropping d, or none at all (no input has g = 2)
+        # the scan over admissible d at the certificate prime r against a scan
+        # over every d in 2..2g^2: the same first dropping d, or none at all
         def first_drop(f, tup):
             first = [tup.dpow] if tup is not None and tup.b > 1 else []
             s: list[int] = []
@@ -212,16 +225,26 @@ class TestCertificates:
             tuples = SearchRange(rhos=(rho,), bs=(1,), q_max=q_max).candidate_tuples()
             return [t for t in tuples if all(c.passed for c in validate_tuple(t))]
 
-        inputs = [(construct(t), t) for t in valid(7, 64) + valid(11, 128)[:3]]
-        inputs += [(check_q_symmetry(TENTH, 5, 2), None), (construct(T3), None)]
+        inputs = [(construct(t), t.r, t) for t in valid(7, 64) + valid(11, 128)[:3]]
+        inputs += [(check_q_symmetry(TENTH, 5, 2), 29, None), (construct(T3), 2, None)]
+        # the (7, 1) and (5, 2) rows of the benchmark's raw pool, at their simple_r
+        # (the (5, 1) rows, g = 2, stop at the coefficient rule)
+        family = {(tuple(coeffs), q) for _, coeffs, q, fam in verify_pool() if fam in ((7, 1), (5, 2))}
+        for coeffs, q in sorted(family):
+            rep = classify((IntPoly(coeffs), q))
+            if rep.absolutely_simple != "not_evaluated":
+                inputs.append((check_q_symmetry(rep.poly, rep.g, q), rep.simple_r, None))
         verdicts = Counter()
-        for f, tup in inputs:
-            verdict, witness, _ = engine._absolute_simplicity(f, tup)
-            assert witness == first_drop(f, tup), (f.poly.to_string(), f.q)
+        for f, r, tup in inputs:
+            verdict, witness, _ = engine._absolute_simplicity(f, r, tup)
+            assert witness == first_drop(f, tup), (f.poly.to_string(), f.q, r)
             assert (verdict == "certified_no") == (witness is not None)
-            verdicts[verdict, witness] += 1
-        # the 31 tuples without a drop pass their order bound 7 or 22 <= 2g^2
-        assert verdicts == {("certified_yes", None): 31, ("certified_no", 5): 2}
+            verdicts[verdict, witness, r] += 1
+        # the 31 tuples without a drop pass their order bound 7 or 22 <= 2g^2;
+        # the raw (7, 1) rows, at r = 3, have none
+        assert verdicts == {("certified_yes", None, 3): 28, ("certified_yes", None, 2): 3,
+                            ("certified_no", 5, 29): 1, ("certified_no", 5, 2): 479,
+                            ("inconclusive", None, 3): 294}
 
     def test_g2_rule_agrees_with_power_scan(self):
         # differential check of the coefficient rule against the scan over
@@ -338,14 +361,20 @@ class TestClassify:
                 inputs.append((P(*coeffs), q))
         for p, n in ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
             inputs.append((construct(ParamTuple(rho=5, b=2, r=2, p=p, n=n, m=0)).poly, p ** n))
-        lines = []
+        lines, witnesses = [], Counter()
         for f, q in inputs:
             rep = classify((f, q))
             record = [q, f.to_string(), rep.absolutely_simple, rep.witness_d, rep.power_test_bound]
             lines.append(json.dumps(record) + "\n")
+            if rep.witness_d is not None:
+                witnesses[rep.witness_d, rep.simple_r] += 1
         assert len(lines) == 775
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == "4fd850d63667388b39b12f6aa0276085165144a088f7e80163c9be2a8b491801"
+        # each witness is the order of a ratio of two roots, so no multiple of
+        # the certificate prime r (of 4 at r = 2)
+        assert witnesses == {(3, 2): 4, (3, 5): 4, (3, 11): 2, (3, 17): 2, (3, 23): 2, (5, 2): 5}
+        assert all(d % (4 if r == 2 else r) for d, r in witnesses)
 
     def test_raw_counterexample(self):
         rep = classify((P(8, 4, 2, 5, 1, 1, 1), 2))

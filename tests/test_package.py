@@ -12,7 +12,10 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from perfbench_inputs import verify_pool
 
 from weilpoly.engine import ClassifyOptions, classify
 from weilpoly.intpoly import IntPoly
@@ -155,25 +158,18 @@ TRACED_RUNS = [
 ]
 
 
-def _verify_pool() -> list:
-    """The 3,000 bare (f, q) inputs of the benchmark's verify_raw workload,
-    read from perfbench/workloads.py by path."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)  # dataclasses look it up
-    spec.loader.exec_module(workloads)
-    return workloads.verify_pool()
-
-
 def test_verify_pool_reports_are_pinned():
     # every report field of the benchmark's raw inputs, which a change to a
     # certificate path must leave as they are
-    lines = [
-        json.dumps(classify((IntPoly(coeffs), q)).to_json_dict(include_timings=False)) + "\n"
-        for _, coeffs, q, _ in _verify_pool()
-    ]
-    assert len(lines) == 3000
-    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    rows = [classify((IntPoly(coeffs), q)).to_json_dict(include_timings=False) for _, coeffs, q, _ in verify_pool()]
+    assert len(rows) == 3000
+    digest = hashlib.sha256("".join(json.dumps(row) + "\n" for row in rows).encode()).hexdigest()
     assert digest == "7e368cb6e8c3437506d61167dd095ab871ef8ebcdbd1b2af66ec39a2a9ce7a3a"
+    # each witness is the order of a ratio of two roots, so no multiple of the
+    # certificate prime r (of 4 at r = 2)
+    witnesses = Counter((row["witness_d"], row["simple_r"]) for row in rows if row["witness_d"] is not None)
+    assert witnesses == {(5, 2): 478}
+    assert all(d % (4 if r == 2 else r) for d, r in witnesses)
 
 
 def _trace_src_calls(directory: str) -> dict:
@@ -185,7 +181,7 @@ def _trace_src_calls(directory: str) -> dict:
     runs = [[arg.format(dir=directory) for arg in argv] for argv, _ in TRACED_RUNS]
     runs += [
         ["verify", "--poly", ",".join(map(str, coeffs)), "--q", str(q)]
-        for _, coeffs, q, _ in _verify_pool()[::15]
+        for _, coeffs, q, _ in verify_pool()[::15]
     ]
     src_files = {mod.__file__ for name, mod in sys.modules.items() if name.startswith("weilpoly")}
     seen = set()
