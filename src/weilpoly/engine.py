@@ -20,18 +20,18 @@ with p), simplicity (irreducibility via reduction mod r against the
 rho^b-th cyclotomic polynomial for a tuple; for a bare (f, q), a prime r at
 which f is irreducible, decided on the degree-g real Weil transform h by
 Ben-Or's test and one Legendre symbol, see modular_irreducibility_certificate),
-and absolute simplicity (the dimension-2
-coefficient rule, or minimal polynomials of root powers theta^d, for the
-paper's witness d = rho^(b-1) and then for the d <= 2g^2 that can be the
-order of a ratio of two roots; see _admissible).
+and absolute simplicity (for g a power of two a theorem, and otherwise
+minimal polynomials of root powers theta^d, for the least witness rho first
+when b > 1, then for the d <= 2g^2 that can be the order of a ratio of two
+roots; see _admissible).
 
-One lemma has two uses there: f is separable mod its simplicity certificate's
-prime r, so its splitting field is unramified at r, and the order of a root
-of unity theta_i/theta_j is no multiple of r (of 4, when r = 2).  The power
-scan skips those multiples; and for a tuple the lemma gives the factor 2 of
-the order bound: such a ratio has order dividing rho^b (2*rho^b when r = 2),
-so a scan that passes that order without a drop certifies absolute
-simplicity.  See _absolute_simplicity and _order_bound.
+One theorem bounds that order: f is irreducible mod its simplicity
+certificate's prime r, so the least order n of a root of unity
+theta_i/theta_j is odd, prime to r, and divides
+M_r = (r^(2g) - 1)/(r^(2g/g') - 1), where g' is the odd part of g.  A g that
+is a power of two has M_r = 1, so no ratio is a root of unity; for a tuple, n
+divides rho^b <= 2g^2, so a scan that reaches 2g^2 without a drop certifies
+absolute simplicity.  See _absolute_simplicity.
 """
 
 from __future__ import annotations
@@ -284,15 +284,6 @@ def modular_irreducibility_certificate(
     return None
 
 
-def absolutely_simple_g2(f: QPolynomial) -> bool:
-    """Dimension-2 test: a simple ordinary abelian surface is absolutely
-    simple iff a_1^2 is not in {0, q + a_2, 2*a_2, 3*a_2 - 3*q}."""
-    if f.g != 2:
-        raise ValueError(f"g = {f.g}, need 2")
-    a1, a2, q = f.a(1), f.a(2), f.q
-    return a1 * a1 not in {0, q + a2, 2 * a2, 3 * a2 - 3 * q}
-
-
 # -- classification reports ---------------------------------------------------
 
 
@@ -377,43 +368,31 @@ def _admissible(d: int, g: int, r: int) -> bool:
     return (2 ** g * factorial(g)) % phi == 0 and phi // gcd(phi, 2 * g) <= max(1, 2 * g - 2)
 
 
-def _order_bound(tup: ParamTuple) -> int:
-    """D = rho^b for odd r, 2*rho^b for r = 2: for a tuple whose certify_simple
-    certificate holds, every root of unity theta_i/theta_j has order dividing D
-    (the proof is in _absolute_simplicity)."""
-    return (2 if tup.r == 2 else 1) * tup.rho ** tup.b
-
-
 def _absolute_simplicity(f: QPolynomial, r: int, tup: ParamTuple | None) -> tuple[str, int | None, int | None]:
     """(verdict, witness_d, power_test_bound) for a simple ordinary Weil polynomial
-    f, irreducible over Q and separable mod the prime r: r is the report's
+    f, irreducible over Q and irreducible mod the prime r: r is the report's
     simplicity certificate, tup.r for the tuple tup whose certify_simple
     certificate f carries, or simple_r for a bare (f, q).
 
-    The g = 2 coefficient rule certifies "yes".  Otherwise the first d (the
-    paper's witness rho^(b-1) first, then 2..2g^2) whose theta^d has a minimal
-    polynomial of degree < 2g certifies "no".  Finding none certifies "yes"
-    for a tuple whose order bound D = _order_bound(tup) is at most 2g^2, since
-    the scan has then tested theta^D; otherwise it certifies nothing, and
-    power_test_bound = 2g^2 says how far the scan went.
+    A g that is a power of two certifies "yes" with nothing computed (the
+    theorem below).  Otherwise the first d (rho first for a tuple with b > 1,
+    then the admissible d in 2..2g^2) whose theta^d has a minimal polynomial
+    of degree < 2g certifies "no".  Finding none certifies "yes" for a tuple,
+    whose least witness would divide rho^b <= 2g^2; for a bare (f, q) it
+    certifies nothing, and power_test_bound = 2g^2 says how far the scan went.
 
     Absolutely simple means that no theta^d, d >= 1, has a minimal polynomial
     of degree < 2g (Howe & Zhu, J. Number Theory 92, 2002).  Let f have the
-    roots theta_1..theta_2g, and let zeta = theta_i/theta_j be a root of unity
-    of order n > 1.
+    roots theta_1..theta_2g in its splitting field K, and let
+    zeta = theta_i/theta_j be a root of unity of order n > 1.
 
     Lemma (no ramification at r).  r does not divide n, or r = 2 and 4 does
-    not divide n.  f mod r is separable: for a tuple, f = Phi_(rho^b) mod r
-    divides x^(rho^b) - 1, which is separable as r is a primitive root mod
-    rho^2, so r != rho; for a bare (f, q), f is irreducible over the perfect
-    field F_r.  So r does not divide the discriminant of f, every Q(theta_i)
-    is unramified at r, and so is their compositum, the splitting field K of
-    f.  Q(zeta_n) lies in K, so it is unramified at r too.  Q(zeta_n) is
-    ramified at every prime dividing n, except at 2 when n = 2 mod 4 (then
-    Q(zeta_n) = Q(zeta_(n/2))) (L. C. Washington, Introduction to Cyclotomic
-    Fields, Prop. 2.3).  It has two uses: the scan skips the d that no ratio
-    can have as its order, and the order bound below needs it for the part of
-    n that r divides (the factor 2 of D at r = 2).
+    not divide n.  f mod r is irreducible over the perfect field F_r, so
+    separable: r does not divide the discriminant of f, every Q(theta_i) is
+    unramified at r, and so is their compositum K.  Q(zeta_n) lies in K, so
+    it is unramified at r too.  Q(zeta_n) is ramified at every prime dividing
+    n, except at 2 when n = 2 mod 4 (then Q(zeta_n) = Q(zeta_(n/2)))
+    (L. C. Washington, Introduction to Cyclotomic Fields, Prop. 2.3).
 
     The scan over 2..2g^2 tests only the admissible d (_admissible), and still
     finds the first d that drops the degree, since that d is the order of a
@@ -433,33 +412,60 @@ def _absolute_simplicity(f: QPolynomial, r: int, tup: ParamTuple | None) -> tupl
        is then a root of f / ((t - theta_i)(t - q/theta_i)) over Q(theta_i)).
        So phi(n) divides 2g * m, and phi(n) / gcd(phi(n), 2g) divides m.
 
-    The order bound: let f carry the tuple's certificate, f = Phi_(rho^b) mod r.
-    a. The roots multiply to q^g, and r does not divide q (q = 1 mod r), so
-       every root is a unit at a prime R of K above r.  Modulo R the roots
-       reduce to roots of Phi_(rho^b) mod r, that is to rho^b-th roots of unity
-       in the residue field, and so does zeta = theta_i * theta_j^(-1).
-    b. Let n' be the part of n prime to r, and zeta' = zeta^(n/n'), of order n'.
-       Reduction mod R is injective on the n'-th roots of unity, because
-       x^(n') - 1 stays separable mod r.  zeta'^(rho^b) reduces to 1 by a, so
-       zeta'^(rho^b) = 1 and n' divides rho^b.  With the lemma, n divides
-       rho^b for odd r and 2*rho^b for r = 2: n divides D.
-    So if some theta^d dropped the degree, the first dropping d would be an
-    order n > 1 dividing D (step 1), at most D and admissible.  A scan that
-    passes D <= 2g^2 without a drop therefore proves "yes".
+    Theorem.  Let n be the least d >= 2 for which theta^d drops the degree.
+    Then n is odd, r does not divide n, and n divides
+    M_r = (r^(2g) - 1)/(r^(2g/g') - 1), where g' is the odd part of g.
+    a. A Frobenius phi at a prime R of K above r acts on the 2g roots as one
+       2g-cycle: they reduce to the distinct roots of the irreducible f mod r,
+       which x -> x^r permutes in one cycle.
+    b. theta_i^n = theta_j^n is a Galois-stable relation, so the fibres of
+       t -> t^n on the roots are the blocks of one size s >= 2 (step 1).  A
+       group that contains the 2g-cycle phi has at most one block system of
+       each size s: the orbits of phi^(2g/s).
+    c. The pairs {theta, q/theta} are a block system of size 2, so they are
+       the orbits of phi^g.  If s were even, each fibre would be a union of
+       orbits of phi^g = (phi^(2g/s))^(s/2), so theta^n = (q/theta)^n and
+       theta^2/q would be a root of unity, for every root.  Then every root
+       would have valuation v(q)/2 > 0 at a prime above p, but g of them are
+       units, since p does not divide the middle coefficient.  So s is odd,
+       s >= 3, and s divides g'.
+    d. Let e = 2g/s, tau = phi^e and zeta = tau(theta)/theta, so zeta^n = 1.
+       zeta != 1 and theta^(ord zeta) drops the degree, so zeta has order
+       exactly n.  By the lemma zeta = sigma * zeta', with sigma = +-1
+       (sigma = 1 for odd r) and zeta' of order prime to r.  phi acts on the
+       roots of unity of order prime to r as x -> x^r, and tau^s(theta) =
+       theta, so 1 = prod over 0 <= k < s of tau^k(zeta) = sigma^s * zeta'^N
+       with N = (r^(2g) - 1)/(r^e - 1) = sum over 0 <= k < s of r^(k*e).  N is
+       odd: for odd r it is a sum of s odd terms, for r = 2 its only odd term
+       is 1.  So sigma = sigma^s = zeta'^(-N) has odd order: sigma = 1, and
+       n = ord zeta' is odd, prime to r, and divides N.  s divides g', so
+       2g/g' divides e, r^(2g/g') - 1 divides r^e - 1, and N divides M_r.
+    Corollaries:
+    - g a power of two: g' = 1 and M_r = 1, so no theta^d drops the degree.
+    - a tuple: the roots multiply to q^g, and r does not divide q (q = 1 mod
+      r), so every root is a unit at R.  Modulo R the roots reduce to roots of
+      Phi_(rho^b) mod r, that is to rho^b-th roots of unity, and so does
+      zeta = theta_i * theta_j^(-1).  Reduction mod R is injective on the
+      roots of unity of order prime to r, and n is prime to r, so zeta^(rho^b)
+      = 1: n is an odd divisor of rho^b, and rho^b <= 2g^2 (rho >= 5 gives
+      2*rho <= (rho - 1)^2).  A scan that reaches 2g^2 without a drop has
+      passed n, which proves "yes".  For b > 1, f lies in Z[t^(rho^(b-1))],
+      so theta * w is a root with theta for each rho-th root of unity w, and
+      theta^rho drops the degree: rho, the least divisor of rho^b past 1, is
+      tried first.
     """
-    if f.g == 2 and absolutely_simple_g2(f):
+    g = f.g
+    if g & (g - 1) == 0:  # M_r = 1
         return "certified_yes", None, None
-    bound = 2 * f.g * f.g
-    first = [tup.dpow] if tup is not None and tup.b > 1 else []
+    bound = 2 * g * g
+    first = [tup.rho] if tup is not None and tup.b > 1 else []
     # the admissible d are decided as the scan reaches them: most scans stop early
-    scan = filter(lambda d: _admissible(d, f.g, r), range(2, bound + 1))
+    scan = filter(lambda d: _admissible(d, g, r), range(2, bound + 1))
     s: list[int] = []  # power sums of f, shared by every d
     for d in itertools.chain(first, scan):
-        if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g:
+        if minimal_poly_of_power(f.poly, d, s).degree < 2 * g:
             return "certified_no", d, None
-    if tup is not None and _order_bound(tup) <= bound:
-        return "certified_yes", None, None
-    return "inconclusive", None, bound
+    return ("certified_yes", None, None) if tup is not None else ("inconclusive", None, bound)
 
 
 def classify(

@@ -14,13 +14,13 @@ import time
 
 import mpmath
 import pytest
+from absolute_simplicity_oracle import absolutely_simple_g2
 from ddf_oracle import cyclotomic, guerrier_check
 
 from weilpoly.analysis import exact_modulus_check, numeric_roots
 from weilpoly.engine import (
     ParamTuple,
     SearchRange,
-    absolutely_simple_g2,
     certify_ordinary,
     certify_simple,
     classify,

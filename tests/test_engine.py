@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 import sympy
+from absolute_simplicity_oracle import absolutely_simple_g2
 from ddf_oracle import cyclotomic
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,6 @@ from weilpoly.engine import (
     ClassifyOptions,
     ParamTuple,
     SearchRange,
-    absolutely_simple_g2,
     certify_ordinary,
     certify_simple,
     classify,
@@ -35,7 +35,7 @@ from weilpoly.intpoly import (
     minimal_poly_of_power,
 )
 from weilpoly.modpoly import is_irreducible_mod, reduce_mod
-from weilpoly.numtheory import primes_first
+from weilpoly.numtheory import is_prime, primes_first
 
 T1 = ParamTuple(rho=5, b=1, r=2, p=5, n=1, m=0)
 T2 = ParamTuple(rho=5, b=1, r=3, p=2, n=2, m=0)
@@ -146,33 +146,41 @@ class TestCertificates:
         assert scan(f20, 2, None) == ("certified_no", 5, None)  # d = 2..4 drop nothing
         assert minimal_poly_of_power(f20.poly, 5).degree == 4
 
-        # theta = i*sqrt(q): theta^2 = -q is rational; t^2 + 5 is irreducible
-        # mod 11, which allows the even witness 2
+        # t^2 + 5 (theta = i*sqrt(5), theta^2 = -5) is irreducible mod 11 but
+        # not ordinary, outside the scan's precondition; the admissible orders
+        # rest on f separable mod r alone, so d = 2 stays admissible at r = 11
         assert modular_irreducibility_certificate(P(5, 0, 1)) == 11
-        assert scan(check_q_symmetry(P(5, 0, 1), 1, 5), 11, None) == ("certified_no", 2, None)
+        assert engine._admissible(2, 1, 11)
         # theta^5 drops the degree, and phi(5) = 4 does not divide 2g = 10, so
         # a scan of the d with phi(d) | 2g would miss it
         rep = classify((TENTH, 2))
         assert rep.is_q_polynomial and rep.ordinary and rep.simple
         assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_no", 5, None)
         # no power up to 2g^2 = 18 drops the degree, so the scan has passed
-        # the tuple's order bound D = 7 and certifies "yes"; the same
-        # polynomial without its tuple has no order bound and no verdict
+        # rho^b = 7, which the tuple's least witness would divide, and
+        # certifies "yes"; the same polynomial without its tuple has no verdict
         t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
         f71 = construct(t71)
         assert scan(f71, 3, t71) == ("certified_yes", None, None)
         assert scan(f71, 3, None) == ("inconclusive", None, 18)
 
-    def test_order_bound(self):
-        # rho^b for odd r; at r = 2 a ratio of order 2 mod 4 is unramified, so 2*rho^b
-        bounds = {(5, 1, 2): 10, (5, 1, 3): 5, (7, 1, 3): 7, (11, 1, 2): 22, (13, 1, 2): 26,
-                  (5, 2, 2): 50, (5, 2, 3): 25, (7, 2, 3): 49}
-        for (rho, b, r), bound in bounds.items():
-            assert engine._order_bound(ParamTuple(rho=rho, b=b, r=r, p=5, n=1, m=0)) == bound
+    def test_rho_power_is_within_the_scan(self):
+        # a tuple's least witness divides rho^b, so a scan to 2g^2 that finds
+        # no drop has passed it: rho^b <= 2g^2, that is 2*rho^(2 - b) <=
+        # (rho - 1)^2, for every (rho, b) under the degree cap; (5, 1) comes
+        # closest, with 5 <= 8
+        pairs = [(rho, b) for rho in range(5, engine.MAX_TWO_G + 2) if is_prime(rho)
+                 for b in range(1, 5) if rho ** (b - 1) * (rho - 1) <= engine.MAX_TWO_G]
+        assert len(pairs) == 58 and (257, 1) in pairs and (5, 3) in pairs
+        for rho, b in pairs:
+            g = ParamTuple(rho=rho, b=b, r=2, p=5, n=1, m=0).g
+            assert rho ** b <= 2 * g * g, (rho, b)
 
     def test_order_bound_certificates_agree_with_the_power_at_the_bound(self):
-        # differential check of the order-bound rule: on every tuple it
-        # certifies, theta^D, computed outside the scan, has full degree 2g.
+        # differential check of the rule that a tuple's scan without a drop
+        # certifies "yes": on every tuple it certifies, theta^D for D = rho^b,
+        # computed outside the scan, has full degree 2g.  A g that is a power
+        # of two is certified by the theorem alone.
         # rho = 13 stops at q <= 9: its scan costs about 0.5 s a tuple
         grids = [
             SearchRange(rhos=(5, 7), bs=(1, 2), q_max=64),
@@ -183,12 +191,12 @@ class TestCertificates:
         for rep in itertools.chain.from_iterable(map(search, grids)):
             if rep.absolutely_simple != "certified_yes":
                 continue
-            if rep.g == 2 and absolutely_simple_g2(check_q_symmetry(rep.poly, 2, rep.q)):
+            if rep.g & (rep.g - 1) == 0:
                 continue
-            bound = engine._order_bound(rep.tuple)
+            bound = rep.tuple.rho ** rep.tuple.b
             assert minimal_poly_of_power(rep.poly, bound).degree == 2 * rep.g, rep.tuple
             certified[rep.tuple.rho, rep.tuple.b, bound] += 1
-        assert certified == {(7, 1, 7): 28, (11, 1, 22): 56, (13, 1, 26): 6}
+        assert certified == {(7, 1, 7): 28, (11, 1, 11): 56, (13, 1, 13): 6}
 
     def test_admissible_orders(self):
         # the d <= 2g^2 the scan skips at the certificate prime r: multiples of
@@ -216,7 +224,7 @@ class TestCertificates:
         # the scan over admissible d at the certificate prime r against a scan
         # over every d in 2..2g^2: the same first dropping d, or none at all
         def first_drop(f, tup):
-            first = [tup.dpow] if tup is not None and tup.b > 1 else []
+            first = [tup.rho] if tup is not None and tup.b > 1 else []
             s: list[int] = []
             ds = first + list(range(2, 2 * f.g * f.g + 1))
             return next((d for d in ds if minimal_poly_of_power(f.poly, d, s).degree < 2 * f.g), None)
@@ -228,7 +236,7 @@ class TestCertificates:
         inputs = [(construct(t), t.r, t) for t in valid(7, 64) + valid(11, 128)[:3]]
         inputs += [(check_q_symmetry(TENTH, 5, 2), 29, None), (construct(T3), 2, None)]
         # the (7, 1) and (5, 2) rows of the benchmark's raw pool, at their simple_r
-        # (the (5, 1) rows, g = 2, stop at the coefficient rule)
+        # (the (5, 1) rows, g = 2, are certified with no scan)
         family = {(tuple(coeffs), q) for _, coeffs, q, fam in verify_pool() if fam in ((7, 1), (5, 2))}
         for coeffs, q in sorted(family):
             rep = classify((IntPoly(coeffs), q))
@@ -240,8 +248,8 @@ class TestCertificates:
             assert witness == first_drop(f, tup), (f.poly.to_string(), f.q, r)
             assert (verdict == "certified_no") == (witness is not None)
             verdicts[verdict, witness, r] += 1
-        # the 31 tuples without a drop pass their order bound 7 or 22 <= 2g^2;
-        # the raw (7, 1) rows, at r = 3, have none
+        # the 31 tuples without a drop pass rho = 7 or 11 <= 2g^2; the raw
+        # (7, 1) rows, at r = 3, have no tuple and no verdict
         assert verdicts == {("certified_yes", None, 3): 28, ("certified_yes", None, 2): 3,
                             ("certified_no", 5, 29): 1, ("certified_no", 5, 2): 479,
                             ("inconclusive", None, 3): 294}
@@ -249,7 +257,8 @@ class TestCertificates:
     def test_g2_rule_agrees_with_power_scan(self):
         # differential check of the coefficient rule against the scan over
         # d = 2..8, on every irreducible Weil quartic of a small grid
-        # (irreducibility decided independently by sympy)
+        # (irreducibility decided independently by sympy); and of the theorem
+        # at g = 2: no quartic with a certificate prime has a witness
         x = sympy.Symbol("x")
         found = Counter()
         for q, p in ((4, 2), (5, 5), (7, 7), (9, 3)):
@@ -268,8 +277,10 @@ class TestCertificates:
                         None,
                     )
                     assert (witness is None) == absolutely_simple_g2(f), (q, a1, a2, witness)
-                    found[witness] += 1
-        assert found == {None: 270, 2: 57, 3: 24, 4: 12, 6: 6}
+                    certified = modular_irreducibility_certificate(f.poly) is not None
+                    assert witness is None or not certified, (q, a1, a2, witness)
+                    found[witness, certified] += 1
+        assert found == {(None, True): 270, (2, False): 57, (3, False): 24, (4, False): 12, (6, False): 6}
 
     def test_modular_certificate_search(self):
         assert modular_irreducibility_certificate(P(25, 5, 1, 1, 1)) == 2
@@ -330,22 +341,35 @@ class TestClassify:
         assert rep.absolutely_simple == "certified_no"
         assert rep.witness_d == 5
 
+    def test_b3_witness_is_rho(self):
+        # f lies in Z[t^25], so theta^5 drops the degree: rho = 5 is the least
+        # witness, the least order past 1 that divides rho^b = 125, and no
+        # admissible d < 5 drops the degree
+        for p in (5, 7, 11):
+            t = ParamTuple(rho=5, b=3, r=2, p=p, n=1, m=0)
+            rep = classify(t)
+            assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_no", 5, None)
+            s: list[int] = []
+            lower = [d for d in range(2, 5) if engine._admissible(d, rep.g, t.r)]
+            assert lower == [2, 3]
+            assert [minimal_poly_of_power(rep.poly, d, s).degree for d in lower] == [100, 100]
+
+    def test_fermat_prime_rho_is_certified_by_the_theorem(self):
+        # (17, 1): g = 8 is a power of two, so the theorem certifies "yes" with
+        # no power computed; theta^17, the one order that divides rho^b, has
+        # full degree 16, checked here outside the certificate
+        for p in (7, 13, 103):
+            rep = classify(ParamTuple(rho=17, b=1, r=3, p=p, n=1, m=0))
+            assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
+            assert minimal_poly_of_power(rep.poly, 17).degree == 16
+
     def test_b2_witness_without_degree_drop_is_not_certified(self, monkeypatch):
         # if theta^5 did not lie in a proper subfield, the b = 2 witness
         # proves nothing: the general power scan decides instead, and with no
-        # power dropping the degree it passes the order bound D = 2 * 5^2 = 50
-        # <= 2g^2 = 200 of the certificate mod r = 2, which certifies "yes"
+        # power dropping the degree it passes rho^b = 25 <= 2g^2 = 200, which
+        # the least witness would divide, and certifies "yes"
         monkeypatch.setattr(engine, "minimal_poly_of_power", lambda f, d, s: f)
         rep = classify(T3)
-        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
-
-    def test_order_bound_past_the_scan_certifies_nothing(self, monkeypatch):
-        # without the g = 2 rule, (5, 1) at r = 2 has D = 10 > 2g^2 = 8: the
-        # scan never tests theta^10, so it certifies nothing; at r = 3, D = 5
-        monkeypatch.setattr(engine, "absolutely_simple_g2", lambda f: False)
-        rep = classify(T1)
-        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("inconclusive", None, 8)
-        rep = classify(T2)
         assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
 
     def test_raw_absolute_simplicity_golden(self):
