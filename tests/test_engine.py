@@ -164,7 +164,7 @@ class TestCertificates:
         assert scan(f71, 3, t71) == ("certified_yes", None, None)
         assert scan(f71, 3, None) == ("inconclusive", None, 18)
 
-    def test_rho_power_is_within_the_scan(self):
+    def test_order_bound(self):
         # a tuple's least witness divides rho^b, so a scan to 2g^2 that finds
         # no drop has passed it: rho^b <= 2g^2, that is 2*rho^(2 - b) <=
         # (rho - 1)^2, for every (rho, b) under the degree cap; (5, 1) comes
@@ -371,6 +371,23 @@ class TestClassify:
         monkeypatch.setattr(engine, "minimal_poly_of_power", lambda f, d, s: f)
         rep = classify(T3)
         assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
+
+    def test_order_bound_past_the_scan_certifies_nothing(self):
+        # a tuple's order bound rho^b lies within the scan, so a scan to 2g^2
+        # with no drop certifies "yes"; a bare (f, q) of odd g has no bound,
+        # and the same scan certifies nothing.  (5, 1) at r = 2 and r = 3 has
+        # g = 2, a power of two, and is certified with no power computed.
+        t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
+        rep = classify(t71)
+        assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
+        raw = classify((rep.poly, rep.q))
+        assert raw.simple and raw.g == 3
+        assert (raw.absolutely_simple, raw.witness_d, raw.power_test_bound) == ("inconclusive", None, 18)
+        for tup in (T1, T2):
+            rep = classify(tup)
+            assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
+            raw = classify((rep.poly, rep.q))
+            assert (raw.absolutely_simple, raw.witness_d, raw.power_test_bound) == ("certified_yes", None, None)
 
     def test_raw_absolute_simplicity_golden(self):
         # every raw-input verdict, witness and scan bound, pinned: g = 3 grids
