@@ -338,7 +338,8 @@ def _durand_kerner(c: list[int], roots: list[tuple[int, int]], bits: int, tol: i
     z - w over all the roots w.  The roots enter at k = 128 < bits; one sweep
     runs at each k = 128, 256, ... below bits, the roots shifted up to the
     next k, then sweeps at k = bits until every squared move is below tol, for
-    at most 200 sweeps."""
+    at most bits sweeps: near two close roots each sweep gains only a fraction
+    of a bit until they separate, so the cap grows with the precision."""
     e = gcd(*(i for i, ci in enumerate(c) if ci))
     c, roots, k = c[::e], list(roots), 128
     while k < bits:
@@ -346,7 +347,7 @@ def _durand_kerner(c: list[int], roots: list[tuple[int, int]], bits: int, tol: i
         step = min(2 * k, bits) - k
         roots, k = [(x << step, y << step) for x, y in roots], k + step
     a = [(ci << bits) // c[-1] for ci in c[:-1]]
-    for _ in range(200):
+    for _ in range(bits):
         if _sweep(a, e, roots, bits) < tol:
             break
     return roots

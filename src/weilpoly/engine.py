@@ -20,7 +20,7 @@ with p), simplicity (irreducibility via reduction mod r against the
 rho^b-th cyclotomic polynomial for a tuple; for a bare (f, q), a prime r at
 which f is irreducible, decided on the degree-g real Weil transform h by
 Ben-Or's test and one Legendre symbol, see modular_irreducibility_certificate),
-and absolute simplicity (for g a power of two a theorem, and otherwise
+and absolute simplicity (the theorem below alone when N = 1, and otherwise
 minimal polynomials of root powers theta^d, for the least witness rho first
 when b > 1, then for the d <= 2g^2 that can be the order of a ratio of two
 roots; see _admissible).
@@ -28,10 +28,10 @@ roots; see _admissible).
 One theorem bounds that order: f is irreducible mod its simplicity
 certificate's prime r, so the least order n of a root of unity
 theta_i/theta_j is odd, prime to r, and divides
-M_r = (r^(2g) - 1)/(r^(2g/g') - 1), where g' is the odd part of g.  A g that
-is a power of two has M_r = 1, so no ratio is a root of unity; for a tuple, n
-divides rho^b <= 2g^2, so a scan that reaches 2g^2 without a drop certifies
-absolute simplicity.  See _absolute_simplicity.
+N = (r^g + 1)/(r^(2^v) + 1), where 2^v is the largest power of two dividing
+g; for a tuple n also divides rho^b.  N = 1 (g a power of two) means that no
+ratio is a root of unity, and a scan that reaches 2g^2 >= N without a drop
+certifies absolute simplicity.  See _absolute_simplicity.
 """
 
 from __future__ import annotations
@@ -374,12 +374,14 @@ def _absolute_simplicity(f: QPolynomial, r: int, tup: ParamTuple | None) -> tupl
     simplicity certificate, tup.r for the tuple tup whose certify_simple
     certificate f carries, or simple_r for a bare (f, q).
 
-    A g that is a power of two certifies "yes" with nothing computed (the
-    theorem below).  Otherwise the first d (rho first for a tuple with b > 1,
-    then the admissible d in 2..2g^2) whose theta^d has a minimal polynomial
-    of degree < 2g certifies "no".  Finding none certifies "yes" for a tuple,
-    whose least witness would divide rho^b <= 2g^2; for a bare (f, q) it
-    certifies nothing, and power_test_bound = 2g^2 says how far the scan went.
+    Every least witness divides N = (r^g + 1)/(r^(2^v) + 1), 2^v the largest
+    power of two dividing g, and for a tuple also rho^b (the theorem below).
+    N = 1 certifies "yes" with nothing computed.  Otherwise the first d (rho
+    first for a tuple with b > 1, then the admissible d in 2..2g^2) whose
+    theta^d has a minimal polynomial of degree < 2g certifies "no".  Finding
+    none certifies "yes" when N <= 2g^2, since the scan has then passed every
+    divisor of N; otherwise it certifies nothing, and power_test_bound = 2g^2
+    says how far the scan went.
 
     Absolutely simple means that no theta^d, d >= 1, has a minimal polynomial
     of degree < 2g (Howe & Zhu, J. Number Theory 92, 2002).  Let f have the
@@ -413,8 +415,7 @@ def _absolute_simplicity(f: QPolynomial, r: int, tup: ParamTuple | None) -> tupl
        So phi(n) divides 2g * m, and phi(n) / gcd(phi(n), 2g) divides m.
 
     Theorem.  Let n be the least d >= 2 for which theta^d drops the degree.
-    Then n is odd, r does not divide n, and n divides
-    M_r = (r^(2g) - 1)/(r^(2g/g') - 1), where g' is the odd part of g.
+    Then n is odd, r does not divide n, and n divides N.
     a. A Frobenius phi at a prime R of K above r acts on the 2g roots as one
        2g-cycle: they reduce to the distinct roots of the irreducible f mod r,
        which x -> x^r permutes in one cycle.
@@ -428,34 +429,39 @@ def _absolute_simplicity(f: QPolynomial, r: int, tup: ParamTuple | None) -> tupl
        theta^2/q would be a root of unity, for every root.  Then every root
        would have valuation v(q)/2 > 0 at a prime above p, but g of them are
        units, since p does not divide the middle coefficient.  So s is odd,
-       s >= 3, and s divides g'.
+       s >= 3, and s divides g' = g/2^v.
     d. Let e = 2g/s, tau = phi^e and zeta = tau(theta)/theta, so zeta^n = 1.
        zeta != 1 and theta^(ord zeta) drops the degree, so zeta has order
        exactly n.  By the lemma zeta = sigma * zeta', with sigma = +-1
        (sigma = 1 for odd r) and zeta' of order prime to r.  phi acts on the
        roots of unity of order prime to r as x -> x^r, and tau^s(theta) =
-       theta, so 1 = prod over 0 <= k < s of tau^k(zeta) = sigma^s * zeta'^N
-       with N = (r^(2g) - 1)/(r^e - 1) = sum over 0 <= k < s of r^(k*e).  N is
+       theta, so 1 = prod over 0 <= k < s of tau^k(zeta) = sigma^s * zeta'^S
+       with S = (r^(2g) - 1)/(r^e - 1) = sum over 0 <= k < s of r^(k*e).  S is
        odd: for odd r it is a sum of s odd terms, for r = 2 its only odd term
-       is 1.  So sigma = sigma^s = zeta'^(-N) has odd order: sigma = 1, and
-       n = ord zeta' is odd, prime to r, and divides N.  s divides g', so
-       2g/g' divides e, r^(2g/g') - 1 divides r^e - 1, and N divides M_r.
-    Corollaries:
-    - g a power of two: g' = 1 and M_r = 1, so no theta^d drops the degree.
-    - a tuple: the roots multiply to q^g, and r does not divide q (q = 1 mod
-      r), so every root is a unit at R.  Modulo R the roots reduce to roots of
-      Phi_(rho^b) mod r, that is to rho^b-th roots of unity, and so does
-      zeta = theta_i * theta_j^(-1).  Reduction mod R is injective on the
-      roots of unity of order prime to r, and n is prime to r, so zeta^(rho^b)
-      = 1: n is an odd divisor of rho^b, and rho^b <= 2g^2 (rho >= 5 gives
-      2*rho <= (rho - 1)^2).  A scan that reaches 2g^2 without a drop has
-      passed n, which proves "yes".  For b > 1, f lies in Z[t^(rho^(b-1))],
-      so theta * w is a root with theta for each rho-th root of unity w, and
-      theta^rho drops the degree: rho, the least divisor of rho^b past 1, is
-      tried first.
+       is 1.  So sigma = sigma^s = zeta'^(-S) has odd order: sigma = 1, and
+       n = ord zeta' is odd, prime to r, and divides S.  s divides g', so
+       2g/g' divides e, and S divides M_r = (r^(2g) - 1)/(r^(2g/g') - 1).
+    e. phi^g swaps theta and q/theta and commutes with tau, so phi^g(zeta) =
+       (q/tau(theta))/(q/theta) = zeta^(-1); and phi^g(zeta) = zeta^(r^g).  So
+       n divides r^g + 1, and n divides gcd(M_r, r^g + 1) = N: with
+       x = r^(2^v), M_r = A * N and r^g + 1 = (x + 1) * N, where
+       A = (x^g' - 1)/(x - 1) = 1 mod x + 1 (g' is odd), so gcd(A, x + 1) = 1.
+       N = 1 mod x is prime to r, and odd: it divides M_r, the S of s = g'.
+    For a tuple, the roots multiply to q^g, and r does not divide q (q = 1
+    mod r), so every root is a unit at R.  Modulo R the roots reduce to roots
+    of Phi_(rho^b) mod r, that is to rho^b-th roots of unity, and so does
+    zeta = theta_i * theta_j^(-1).  Reduction mod R is injective on the roots
+    of unity of order prime to r, and n is prime to r, so zeta^(rho^b) = 1: n
+    divides gcd(N, rho^b) <= rho^b <= 2g^2 (rho >= 5 gives 2*rho <=
+    (rho - 1)^2), so a tuple is never inconclusive.  For b > 1, f lies in
+    Z[t^(rho^(b-1))], so theta * w is a root with theta for each rho-th root
+    of unity w, and theta^rho drops the degree: rho, the least divisor of
+    rho^b past 1, is tried first.
     """
     g = f.g
-    if g & (g - 1) == 0:  # M_r = 1
+    big_n = (r**g + 1) // (r ** (g & -g) + 1)  # N: every least witness divides it
+    big_n = gcd(big_n, tup.rho**tup.b) if tup is not None else big_n
+    if big_n == 1:
         return "certified_yes", None, None
     bound = 2 * g * g
     first = [tup.rho] if tup is not None and tup.b > 1 else []
@@ -465,7 +471,7 @@ def _absolute_simplicity(f: QPolynomial, r: int, tup: ParamTuple | None) -> tupl
     for d in itertools.chain(first, scan):
         if minimal_poly_of_power(f.poly, d, s).degree < 2 * g:
             return "certified_no", d, None
-    return ("certified_yes", None, None) if tup is not None else ("inconclusive", None, bound)
+    return ("certified_yes", None, None) if big_n <= bound else ("inconclusive", None, bound)
 
 
 def classify(

@@ -26,7 +26,7 @@ def _horner(a: list[int], x: int, y: int, bits: int) -> tuple[int, int]:
 
 
 def _durand_kerner(a: list[int], roots: list[tuple[int, int]], bits: int, tol: int) -> list[tuple[int, int]]:
-    for _ in range(200):
+    for _ in range(bits):
         largest = 0
         for i, (x, y) in enumerate(roots):
             (px, py), dx, dy = _horner(a, x, y, bits), 1 << bits, 0

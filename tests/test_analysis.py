@@ -443,6 +443,16 @@ class TestNumericRoots:
         f = stretched(symmetric_poly(g, q ** e, upper[:g]).poly, e)
         assert report_or_error(numeric_roots, f, q=q) == report_or_error(plain_numeric_roots, f, q=q)
 
+    def test_close_root_pair_matches_the_plain_iteration(self):
+        # t^2 + (2^551 + 1)t + 2^1100 has two real roots 2^-274 apart relative
+        # to their size 2^550: the sweeps converge only linearly until they
+        # separate them (567 sweeps at 3,447 bits), past a cap of 200 sweeps
+        # but within one sweep per bit of the working precision
+        f = P(2 ** 1100, 2 ** 551 + 1, 1)
+        rep = numeric_roots(f)
+        assert rep.attempts == 1 and len(rep.roots) == 2
+        assert rep == plain_numeric_roots(f)
+
     def test_far_seeds_reach_the_plain_report(self, monkeypatch):
         # from mpmath's start points alone, far from the roots, the ramp's
         # sweeps do not converge, and the report still is the plain iteration's

@@ -154,6 +154,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--poly", f"{q},{3 ** 351},1", "--q", str(q), "--numeric")
         assert code == 3 and err == "" and "max_modulus_deviation: 1.618033988749895\n" in out
 
+    def test_numeric_deviation_for_a_close_root_pair(self, capsys):
+        # two real roots -2^550 +/- about 2^275, 2^-274 apart relative to their
+        # size: the sweeps separate them, and the deviation of about 2^-275
+        # shows that they are off the circle, exit 3
+        q = 2 ** 1100
+        code, out, err = run(capsys, "verify", "--poly", f"{q},{2 ** 551 + 1},1", "--q", str(q), "--numeric")
+        assert code == 3 and err == "" and "max_modulus_deviation: 1.6472184286297693e-83\n" in out
+
     def test_numeric_roots_past_the_float_range_exit_1(self, capsys):
         # a root near -2^1030 is certified but is no complex float
         q = 2 ** 1100

@@ -4,6 +4,8 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from math import gcd
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -157,12 +159,12 @@ class TestCertificates:
         assert rep.is_q_polynomial and rep.ordinary and rep.simple
         assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_no", 5, None)
         # no power up to 2g^2 = 18 drops the degree, so the scan has passed
-        # rho^b = 7, which the tuple's least witness would divide, and
-        # certifies "yes"; the same polynomial without its tuple has no verdict
+        # N = (3^3 + 1)/(3 + 1) = 7, which every least witness divides, and
+        # certifies "yes", with its tuple (gcd(7, rho^b) = 7) or without
         t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
         f71 = construct(t71)
         assert scan(f71, 3, t71) == ("certified_yes", None, None)
-        assert scan(f71, 3, None) == ("inconclusive", None, 18)
+        assert scan(f71, 3, None) == ("certified_yes", None, None)
 
     def test_order_bound(self):
         # a tuple's least witness divides rho^b, so a scan to 2g^2 that finds
@@ -197,6 +199,37 @@ class TestCertificates:
             assert minimal_poly_of_power(rep.poly, bound).degree == 2 * rep.g, rep.tuple
             certified[rep.tuple.rho, rep.tuple.b, bound] += 1
         assert certified == {(7, 1, 7): 28, (11, 1, 11): 56, (13, 1, 13): 6}
+
+    def test_least_witness_divides_n(self, monkeypatch):
+        # every least witness divides N = (r^g + 1)/(r^(2^v) + 1), 2^v the
+        # largest power of two dividing g, which is gcd(M_r, r^g + 1) with
+        # M_r = (r^(2g) - 1)/(r^(2g/g') - 1), g' the odd part of g
+        def big_n(g, r):
+            return (r ** g + 1) // (r ** (g & -g) + 1)
+
+        table = {(1, 2): 1, (2, 3): 1, (4, 2): 1, (8, 3): 1, (3, 2): 3, (3, 3): 7, (3, 5): 21,
+                 (5, 2): 11, (6, 3): 73, (10, 2): 205}
+        assert {key: big_n(*key) for key in table} == table
+        for g in range(1, 65):
+            odd = g // (g & -g)
+            for r in primes_first(25):
+                m_r = (r ** (2 * g) - 1) // (r ** (2 * g // odd) - 1)
+                assert big_n(g, r) == gcd(m_r, r ** g + 1), (g, r)
+        # with no power dropping the degree, N decides the verdict: N = 1
+        # computes no power, N <= 2g^2 certifies "yes", and a larger N (21 >
+        # 18, 73 > 72, 205 > 200) leaves the scan inconclusive
+        powers = []
+        monkeypatch.setattr(engine, "minimal_poly_of_power", lambda f, d, s: powers.append(d) or f)
+        for (g, r), n in table.items():
+            f = SimpleNamespace(g=g, poly=IntPoly((1,) + (0,) * (2 * g - 1) + (1,)))
+            powers.clear()
+            verdict = engine._absolute_simplicity(f, r, None)
+            if n == 1:
+                assert (verdict, powers) == (("certified_yes", None, None), []), (g, r)
+            elif n <= 2 * g * g:
+                assert verdict == ("certified_yes", None, None) and n in powers, (g, r)
+            else:
+                assert verdict == ("inconclusive", None, 2 * g * g), (g, r)
 
     def test_admissible_orders(self):
         # the d <= 2g^2 the scan skips at the certificate prime r: multiples of
@@ -249,10 +282,9 @@ class TestCertificates:
             assert (verdict == "certified_no") == (witness is not None)
             verdicts[verdict, witness, r] += 1
         # the 31 tuples without a drop pass rho = 7 or 11 <= 2g^2; the raw
-        # (7, 1) rows, at r = 3, have no tuple and no verdict
-        assert verdicts == {("certified_yes", None, 3): 28, ("certified_yes", None, 2): 3,
-                            ("certified_no", 5, 29): 1, ("certified_no", 5, 2): 479,
-                            ("inconclusive", None, 3): 294}
+        # (7, 1) rows, at r = 3, have no tuple and pass N = 7 <= 2g^2 = 18
+        assert verdicts == {("certified_yes", None, 3): 322, ("certified_yes", None, 2): 3,
+                            ("certified_no", 5, 29): 1, ("certified_no", 5, 2): 479}
 
     def test_g2_rule_agrees_with_power_scan(self):
         # differential check of the coefficient rule against the scan over
@@ -373,15 +405,18 @@ class TestClassify:
         assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
 
     def test_order_bound_past_the_scan_certifies_nothing(self):
-        # a tuple's order bound rho^b lies within the scan, so a scan to 2g^2
-        # with no drop certifies "yes"; a bare (f, q) of odd g has no bound,
-        # and the same scan certifies nothing.  (5, 1) at r = 2 and r = 3 has
-        # g = 2, a power of two, and is certified with no power computed.
-        t71 = ParamTuple(rho=7, b=1, r=3, p=13, n=1, m=0)
+        # every least witness divides N = (r^g + 1)/(r^(2^v) + 1), and for a
+        # tuple also rho^b <= 2g^2, so a tuple's scan to 2g^2 with no drop
+        # certifies "yes".  At r = 5, g = 3 a bare (f, q) has N = 21 > 18,
+        # past the scan, and the same scan certifies nothing; its tuple has
+        # gcd(21, 7) = 7.  (5, 1) at r = 2 and r = 3 has g = 2, a power of
+        # two, so N = 1 and it is certified with no power computed.
+        t71 = ParamTuple(rho=7, b=1, r=5, p=11, n=1, m=0)
         rep = classify(t71)
+        assert rep.poly.coeffs == (1331, 121, 11, 1, 1, 1, 1) and rep.q == 11
         assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
         raw = classify((rep.poly, rep.q))
-        assert raw.simple and raw.g == 3
+        assert raw.simple and raw.g == 3 and raw.simple_r == 5
         assert (raw.absolutely_simple, raw.witness_d, raw.power_test_bound) == ("inconclusive", None, 18)
         for tup in (T1, T2):
             rep = classify(tup)
@@ -389,10 +424,21 @@ class TestClassify:
             raw = classify((rep.poly, rep.q))
             assert (raw.absolutely_simple, raw.witness_d, raw.power_test_bound) == ("certified_yes", None, None)
 
+    def test_rho7_tuples_at_r5_are_certified(self):
+        # at r = 5, g = 3 the scan to 18 has not passed N = 21, but a tuple's
+        # least witness also divides rho^b = 7: every (7, 1) tuple at r = 5 is
+        # certified "yes" through gcd(21, 7) = 7
+        tuples = SearchRange(rhos=(7,), bs=(1,), rs=(5,), q_max=128).candidate_tuples()
+        reports = [classify(t) for t in tuples if all(c.passed for c in validate_tuple(t))]
+        assert len(reports) == 23
+        for rep in reports:
+            assert (rep.absolutely_simple, rep.witness_d, rep.power_test_bound) == ("certified_yes", None, None)
+
     def test_raw_absolute_simplicity_golden(self):
         # every raw-input verdict, witness and scan bound, pinned: g = 3 grids
         # over q in {3, 4}, then the (rho, b, r) = (5, 2, 2) family as bare
-        # (f, q); 14 + 5 certified_no, 238 inconclusive
+        # (f, q); 14 + 5 certified_no; 38 certified_yes at r = 2 (N = 3) and
+        # r = 3 (N = 7), and 200 inconclusive, at r with N > 18
         inputs = []
         for q in (3, 4):
             for upper in itertools.product(range(-2, 3), range(-3, 4), range(-5, 6)):
@@ -411,7 +457,7 @@ class TestClassify:
                 witnesses[rep.witness_d, rep.simple_r] += 1
         assert len(lines) == 775
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == "4fd850d63667388b39b12f6aa0276085165144a088f7e80163c9be2a8b491801"
+        assert digest == "5d010638c8610a95fb6993bd7b1ab289254b82b89d002a0c561b81c23220c959"
         # each witness is the order of a ratio of two roots, so no multiple of
         # the certificate prime r (of 4 at r = 2)
         assert witnesses == {(3, 2): 4, (3, 5): 4, (3, 11): 2, (3, 17): 2, (3, 23): 2, (5, 2): 5}

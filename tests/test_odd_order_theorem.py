@@ -1,8 +1,9 @@
 """Differential test of the odd-order theorem (engine._absolute_simplicity):
 for an ordinary Weil polynomial f of degree 2g, irreducible over Q and mod a
 prime r, the least order n of a root of unity theta_i/theta_j is odd, prime
-to r, and divides M_r = (r^(2g) - 1)/(r^(2g/g') - 1), g' the odd part of g;
-so there is none when g is a power of two.
+to r, and divides both M_r = (r^(2g) - 1)/(r^(2g/g') - 1), g' the odd part
+of g, and r^g + 1; so there is none when g is a power of two, and classify's
+scan to 2g^2 decides absolute simplicity when gcd(M_r, r^g + 1) <= 2g^2.
 
 The inputs are seeded random draws with g in {2, 3, 4, 6}: t^g * h(t + q/t)
 with h a split totally real polynomial plus a small perturbation, and F(t^3)
@@ -14,7 +15,7 @@ package's scan.
 
 import random
 from collections import Counter
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 from sympy.polys.domains import ZZ
@@ -99,13 +100,15 @@ def _check(seed: int, count: int) -> Counter:
             m_r = (r ** (2 * g) - 1) // (r ** (2 * g // _odd_part(g)) - 1)
             assert n is None or (n % 2 == 1 and n % r != 0 and m_r % n == 0), (coeffs, q, r, n)
             assert n is None or (r ** g + 1) % n == 0, (coeffs, q, r, n)  # phi^g(zeta) = 1/zeta
-        if g & (g - 1) == 0:
+        r = rep.simple_r
+        big_n = gcd((r ** (2 * g) - 1) // (r ** (2 * g // _odd_part(g)) - 1), r ** g + 1)
+        if n is not None and n <= 2 * g * g:
+            expected = ("certified_no", n)
+        elif big_n <= 2 * g * g:  # the scan has passed every divisor of N
             assert n is None, (coeffs, q, n)
             expected = ("certified_yes", None)
-        elif n is None or n > 2 * g * g:  # past the raw scan
+        else:  # past the raw scan
             expected = ("inconclusive", None)
-        else:
-            expected = ("certified_no", n)
         assert (rep.absolutely_simple, rep.witness_d) == expected, (coeffs, q)
         outcomes[g, rep.absolutely_simple, rep.witness_d] += 1
     return outcomes
@@ -113,13 +116,14 @@ def _check(seed: int, count: int) -> Counter:
 
 def test_least_witness_is_odd_prime_to_r_and_divides_m_r():
     outcomes = _check(seed=18, count=600)
-    assert outcomes == {(2, "certified_yes", None): 71, (3, "certified_no", 3): 50, (3, "inconclusive", None): 53,
-                        (4, "certified_yes", None): 94, (6, "inconclusive", None): 12}
+    assert outcomes == {(2, "certified_yes", None): 71, (3, "certified_no", 3): 50, (3, "certified_yes", None): 17,
+                        (3, "inconclusive", None): 36, (4, "certified_yes", None): 94, (6, "inconclusive", None): 12}
 
 
 @pytest.mark.slow
 def test_least_witness_is_odd_prime_to_r_and_divides_m_r_large():
     outcomes = _check(seed=1018, count=6000)
     assert {(g, verdict) for g, verdict, _ in outcomes} == {(2, "certified_yes"), (3, "certified_no"),
-                                                            (3, "inconclusive"), (4, "certified_yes"),
+                                                            (3, "certified_yes"), (3, "inconclusive"),
+                                                            (4, "certified_yes"), (6, "certified_yes"),
                                                             (6, "inconclusive")}

@@ -164,7 +164,7 @@ def test_verify_pool_reports_are_pinned():
     rows = [classify((IntPoly(coeffs), q)).to_json_dict(include_timings=False) for _, coeffs, q, _ in verify_pool()]
     assert len(rows) == 3000
     digest = hashlib.sha256("".join(json.dumps(row) + "\n" for row in rows).encode()).hexdigest()
-    assert digest == "7e368cb6e8c3437506d61167dd095ab871ef8ebcdbd1b2af66ec39a2a9ce7a3a"
+    assert digest == "482102aefaf0e5fa293e5e152f18639420022c0a5041925f83d950dd3439b09f"
     # each witness is the order of a ratio of two roots, so no multiple of the
     # certificate prime r (of 4 at r = 2)
     witnesses = Counter((row["witness_d"], row["simple_r"]) for row in rows if row["witness_d"] is not None)
