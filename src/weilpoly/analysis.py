@@ -251,8 +251,8 @@ class RootReport:
     """The distinct complex roots of a polynomial, with modulus diagnostics."""
 
     roots: tuple[complex, ...]  # distinct, sorted by (|imaginary part|, real part, imaginary part)
-    modulus_deviations: tuple[float, ...] | None
-    max_modulus_deviation: float | None
+    modulus_deviations: tuple[float, ...]  # | |z| - sqrt(q) | / sqrt(q), in the order of roots
+    max_modulus_deviation: float
     precision_bits: int  # the working precision at which the certificate passed
     attempts: int  # iterations run, the last at precision_bits
 
@@ -366,24 +366,21 @@ def _residual_certified(a: list[int], z: tuple[int, int], bits: int, half: int) 
     return (isqrt(px * px + py * py) + 1 + err) << half <= den
 
 
-def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None = None) -> RootReport:
-    """All distinct roots of f by _durand_kerner on the radical r of f (its
-    sweeps stall on a cluster of equal roots) at 3/2 of the working precision,
-    from _seed_roots(r), which change the number of sweeps, not the report.
-    The roots, rounded to multiples of 2^-work, must be deg r distinct points
-    z, each with |r(z)| <= 2^(-precision_bits/2) * sum_i |r_i| |z|^i, else the
-    working precision doubles; WeilPolyError is raised after four attempts."""
+def numeric_roots(f: IntPoly, q: int) -> RootReport:
+    """All distinct roots of f, and their deviations from modulus sqrt(q), by
+    _durand_kerner on the radical r of f (its sweeps stall on a cluster of equal
+    roots) at 3/2 of the working precision, from _seed_roots(r), which change
+    the number of sweeps, not the report.  The roots, rounded to multiples of
+    2^-work, must be deg r distinct points z, each with |r(z)| <= 2^(-p/2) *
+    sum_i |r_i| |z|^i, p = max(128, 2 * bitlength(largest coefficient) + 64),
+    else work (first p + 32) doubles; WeilPolyError after four attempts."""
     if f.degree < 1:
         raise ValueError("numeric_roots expects a nonconstant polynomial")
-    maxbit = max(abs(c) for c in f.coeffs).bit_length()
-    if precision_bits is None:  # coefficients reach q^g, so scale with them
-        precision_bits = max(128, 2 * maxbit + 64)
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be >= 64")
+    precision_bits = max(128, 2 * max(abs(c) for c in f.coeffs).bit_length() + 64)  # coefficients reach q^g
     # the roots of a q-symmetric f multiply to q^g, so one has modulus >= sqrt(q)
-    if q is not None and isqrt(abs(q)) > float_info.max:
+    if isqrt(abs(q)) > float_info.max:
         raise WeilPolyError("numeric oracle: sqrt(q) is past the float range, and so is a root")
-    work = max(precision_bits, maxbit + 32) + 32
+    work = precision_bits + 32
     r = squarefree_part(f)
     seeds = _seed_roots(r)
     seeds += [(0.4 + 0.9j) ** k for k in range(len(seeds), r.degree)]  # mpmath's start points
@@ -401,15 +398,15 @@ def numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None =
             roots.sort(key=lambda z: (abs(z[1]), z[0], z[1]))
             # | |z|^2 - q | = | |z| - sqrt(q) | (|z| + sqrt(q)), taken at z / 2^k and q / 4^k,
             # where k = 0 unless q is past the float range
-            k = 0 if q is None or q <= float_info.max else q.bit_length() // 2
+            k = 0 if q <= float_info.max else q.bit_length() // 2
             try:
                 zs = tuple(complex(x / one, y / one) for x, y in roots)
-                devs = None if q is None else tuple(
+                devs = tuple(
                     abs(x * x + y * y - (q << 2 * bits)) / (one**2 << 2 * k) / (sq * (abs(z) / 2**k + sq))
                     for (x, y), z in zip(roots, zs) for sq in [(q / 4**k) ** 0.5]
                 )
             except OverflowError:
                 raise WeilPolyError("numeric oracle: a certified root is past the float range") from None
-            return RootReport(zs, devs, max(devs) if devs else None, work, attempt)
+            return RootReport(zs, devs, max(devs), work, attempt)
         work *= 2
     raise WeilPolyError("numeric oracle: root iteration failed residual certification")

@@ -257,7 +257,8 @@ def cmd_report(args) -> int:
     header = f"{'rho':>5} {'b':>3} {'count':>6} {'q-poly':>7} {'ordinary':>9} {'simple':>7} {'max_dev':>10}  absolutely_simple"
     print(header)
     print("-" * len(header))
-    for key in sorted(groups, key=lambda k: (str(k[0]), str(k[1]))):
+    # numerically by (rho, b), bare rows ("-") first
+    for key in sorted(groups, key=lambda k: [(v != "-", 0 if v == "-" else v) for v in k]):
         grp = groups[key]
         abs_desc = ", ".join(f"{k}:{v}" for k, v in sorted(grp.verdicts.items()))
         dev = "-" if grp.max_dev is None else f"{grp.max_dev:.2e}"

@@ -192,7 +192,7 @@ def construct(t: ParamTuple, checks: list[PreconditionCheck] | None = None) -> Q
         if j % d == 0:
             coeffs[2 * g - j] = 1
             coeffs[j] = q ** (g - j)
-    return check_q_symmetry(IntPoly(coeffs), g, q)
+    return check_q_symmetry(IntPoly(coeffs), q)
 
 
 def certify_ordinary(f: QPolynomial, p: int) -> bool:
@@ -268,7 +268,7 @@ def modular_irreducibility_certificate(
         raise ValueError(f"not q-symmetric: degree {f.degree} < 2")
     q = (-1 if c0 < 0 else 1) * (int_nth_root(abs(c0), g) if c0 else 0)
     try:
-        qpoly = check_q_symmetry(f, g, q)
+        qpoly = check_q_symmetry(f, q)
     except ShapeMismatch as exc:
         raise ValueError(f"not q-symmetric: {exc}") from exc
     if h is None:
@@ -505,12 +505,9 @@ def classify(
         tuple=tup, g=g, q=q, poly=raw_poly, is_q_polynomial=False, method="exact", timings_ms=timings
     )
 
-    if tup is None and g == 0:
-        report.method, report.symmetry_fail_index = "shape", -1
-        return report
     if tup is None:
         try:
-            qpoly = check_q_symmetry(raw_poly, g, q)
+            qpoly = check_q_symmetry(raw_poly, q)
         except ShapeMismatch as exc:
             report.method, report.symmetry_fail_index = "shape", exc.index
             return report
@@ -545,7 +542,7 @@ def classify(
         )
 
     if options.with_numeric:
-        rr = clock("numeric", lambda: analysis.numeric_roots(raw_poly, q=q))
+        rr = clock("numeric", lambda: analysis.numeric_roots(raw_poly, q))
         report.max_modulus_deviation = rr.max_modulus_deviation
 
     return report

@@ -10,10 +10,11 @@ class NotPrimePower(WeilPolyError):
 
 
 class ShapeMismatch(WeilPolyError):
-    """Polynomial fails the paired-coefficient symmetry for the given (g, q).
+    """Polynomial is not monic of an even degree 2g >= 2 with the
+    paired-coefficient symmetry for the given q.
 
-    Carries ``index``, the first coefficient index where the pairing fails
-    (or -1 for degree/monicity failures).
+    Carries ``index``: -1 for the degree, 2g for monicity, else the first
+    coefficient index where the pairing fails.
     """
 
     def __init__(self, message, index=-1):

@@ -255,16 +255,15 @@ class QPolynomial:
         return self.poly.coeff(self.g)
 
 
-def check_q_symmetry(f: IntPoly, g: int, q: int) -> QPolynomial:
-    """Validate the paired-coefficient shape and wrap f as a QPolynomial.
+def check_q_symmetry(f: IntPoly, q: int) -> QPolynomial:
+    """Validate the paired-coefficient shape and wrap f as a QPolynomial, g = deg f / 2.
 
     Raises ShapeMismatch (carrying the first violated coefficient index) if
-    deg f != 2g, f is not monic, or some pair coeff(j) != q^(g-j)*coeff(2g-j).
-    """
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    if f.degree != 2 * g:
-        raise ShapeMismatch(f"degree {f.degree} != 2g = {2 * g}", index=-1)
+    deg f is not an even 2g >= 2 (index -1), f is not monic, or some pair
+    coeff(j) != q^(g-j)*coeff(2g-j)."""
+    g = f.degree // 2
+    if g < 1 or f.degree % 2:
+        raise ShapeMismatch(f"degree {f.degree} is not an even 2g >= 2", index=-1)
     if not f.is_monic():
         raise ShapeMismatch("polynomial is not monic", index=2 * g)
     for j in range(g):

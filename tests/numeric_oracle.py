@@ -12,6 +12,7 @@ Not a test module (pytest does not collect it); tests import it by name.
 from __future__ import annotations
 
 from fractions import Fraction
+from sys import float_info
 
 from weilpoly.analysis import RootReport, _residual_certified, _seed_roots
 from weilpoly.errors import WeilPolyError
@@ -42,12 +43,10 @@ def _durand_kerner(a: list[int], roots: list[tuple[int, int]], bits: int, tol: i
     return roots
 
 
-def plain_numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | None = None) -> RootReport:
-    """numeric_roots(f, precision_bits, q) by full-precision sweeps on r."""
-    maxbit = max(abs(c) for c in f.coeffs).bit_length()
-    if precision_bits is None:
-        precision_bits = max(128, 2 * maxbit + 64)
-    work = max(precision_bits, maxbit + 32) + 32
+def plain_numeric_roots(f: IntPoly, q: int) -> RootReport:
+    """numeric_roots(f, q) by full-precision sweeps on r."""
+    precision_bits = max(128, 2 * max(abs(c) for c in f.coeffs).bit_length() + 64)
+    work = precision_bits + 32
     r = squarefree_part(f)
     seeds = _seed_roots(r)
     seeds += [(0.4 + 0.9j) ** k for k in range(len(seeds), r.degree)]
@@ -61,10 +60,12 @@ def plain_numeric_roots(f: IntPoly, precision_bits: int | None = None, q: int | 
         if len(set(roots)) == r.degree and all(_residual_certified(a, z, bits, precision_bits // 2) for z in roots):
             roots.sort(key=lambda z: (abs(z[1]), z[0], z[1]))
             zs = tuple(complex(x / one, y / one) for x, y in roots)
-            devs = None if q is None else tuple(
-                abs(x * x + y * y - (q << 2 * bits)) / one**2 / (q**0.5 * (abs(z) + q**0.5))
+            k = 0 if q <= float_info.max else q.bit_length() // 2  # z / 2^k and q / 4^k fit a float
+            sq = (q / 4**k) ** 0.5
+            devs = tuple(
+                abs(x * x + y * y - (q << 2 * bits)) / (one**2 << 2 * k) / (sq * (abs(z) / 2**k + sq))
                 for (x, y), z in zip(roots, zs)
             )
-            return RootReport(zs, devs, max(devs) if devs else None, work, attempt)
+            return RootReport(zs, devs, max(devs), work, attempt)
         work *= 2
     raise WeilPolyError("numeric oracle: root iteration failed residual certification")

@@ -53,10 +53,10 @@ def sweep_tuples():
 
 def test_ac1_degree6_counterexample_rejected():
     start = time.perf_counter()
-    f = check_q_symmetry(COUNTEREXAMPLE_DEG6, 3, 2)
+    f = check_q_symmetry(COUNTEREXAMPLE_DEG6, 2)
     assert not exact_modulus_check(f).passed
 
-    report = numeric_roots(COUNTEREXAMPLE_DEG6, 128, q=2)
+    report = numeric_roots(COUNTEREXAMPLE_DEG6, 2)
     on_circle = [d for d in report.modulus_deviations if d < 1e-9]
     off_circle = [d for d in report.modulus_deviations if d > 0.1]
     assert len(on_circle) == 4
@@ -68,7 +68,7 @@ def test_ac1_degree6_counterexample_rejected():
 
 def test_ac2_q8_counterexample_not_weil():
     start = time.perf_counter()
-    f = check_q_symmetry(COUNTEREXAMPLE_Q8, 2, 8)
+    f = check_q_symmetry(COUNTEREXAMPLE_Q8, 8)
     assert exact_modulus_check(f).passed  # it IS a q-polynomial
     assert not certify_ordinary(f, 2)  # gcd(a_2, p) = gcd(2, 2) = 2
     rep = classify((COUNTEREXAMPLE_Q8, 8))
@@ -185,7 +185,7 @@ def _random_symmetric(rng):
         coeffs[2 * g - j] = a
         coeffs[j] = q ** (g - j) * a
     coeffs[g] = rng.randint(-8, 8)
-    return check_q_symmetry(IntPoly(coeffs), g, q)
+    return check_q_symmetry(IntPoly(coeffs), q)
 
 
 def test_ac8_exact_and_numeric_oracles_agree():
@@ -194,7 +194,7 @@ def test_ac8_exact_and_numeric_oracles_agree():
     for _ in range(200):
         f = _random_symmetric(rng)
         exact = exact_modulus_check(f).passed
-        report = numeric_roots(f.poly, 128, q=f.q)
+        report = numeric_roots(f.poly, f.q)
         numeric = report.max_modulus_deviation < 1e-9
         if exact != numeric:
             disagreements.append((f.poly.to_string(), f.q, exact, report.max_modulus_deviation))

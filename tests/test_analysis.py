@@ -20,7 +20,7 @@ from weilpoly.analysis import (
     real_weil_transform,
     sturm_chain,
 )
-from weilpoly.engine import SearchRange, construct, validate_tuple
+from weilpoly.engine import ParamTuple, SearchRange, construct, validate_tuple
 from weilpoly.errors import WeilPolyError
 from weilpoly.intpoly import IntPoly, check_q_symmetry, squarefree_part
 from weilpoly.surd import QuadSurd
@@ -62,7 +62,7 @@ def symmetric_poly(g, q, upper):
         coeffs[2 * g - j] = upper[j - 1]
         coeffs[j] = q ** (g - j) * upper[j - 1]
     coeffs[g] = upper[g - 1]
-    return check_q_symmetry(IntPoly(coeffs), g, q)
+    return check_q_symmetry(IntPoly(coeffs), q)
 
 
 def stretched(f, e):
@@ -88,16 +88,16 @@ symmetric_inputs = st.tuples(
 
 class TestRealWeilTransform:
     def test_fixture_quartic(self):
-        f = check_q_symmetry(P(25, 5, 1, 1, 1), 2, 5)
+        f = check_q_symmetry(P(25, 5, 1, 1, 1), 5)
         assert real_weil_transform(f) == P(-9, 1, 1)
 
     def test_minimal_shape(self):
-        f = check_q_symmetry(P(7, 0, 1), 1, 7)
+        f = check_q_symmetry(P(7, 0, 1), 7)
         assert real_weil_transform(f) == P(0, 1)
 
     def test_product_of_conjugate_quadratics(self):
         # (t^2 - t + 2)(t^2 + t + 2) = t^4 + 3t^2 + 4
-        f = check_q_symmetry(P(4, 0, 3, 0, 1), 2, 2)
+        f = check_q_symmetry(P(4, 0, 3, 0, 1), 2)
         assert real_weil_transform(f) == P(-1, 0, 1)
 
     @given(symmetric_inputs)
@@ -180,33 +180,33 @@ class TestSturmCounting:
 
 class TestExactModulusCheck:
     def test_degree6_rejection_with_real_root_witness(self):
-        f = check_q_symmetry(P(8, 4, 2, 5, 1, 1, 1), 3, 2)
+        f = check_q_symmetry(P(8, 4, 2, 5, 1, 1, 1), 2)
         res = exact_modulus_check(f)
         assert not res.passed
         assert res.witness["kind"] == "real_root_outside_band"
         assert res.witness["side"] == "below"
 
     def test_q8_quartic_accepted(self):
-        f = check_q_symmetry(P(64, 16, 2, 2, 1), 2, 8)
+        f = check_q_symmetry(P(64, 16, 2, 2, 1), 8)
         assert exact_modulus_check(f).passed
 
     def test_constructed_quartic_accepted(self):
-        f = check_q_symmetry(P(25, 5, 1, 1, 1), 2, 5)
+        f = check_q_symmetry(P(25, 5, 1, 1, 1), 5)
         assert exact_modulus_check(f).passed
 
     def test_double_real_root_at_sqrt_q(self):
         # (t^2 - 5)^2: both roots +/-sqrt(5), modulus sqrt(5)
-        f = check_q_symmetry(P(25, 0, -10, 0, 1), 2, 5)
+        f = check_q_symmetry(P(25, 0, -10, 0, 1), 5)
         assert exact_modulus_check(f).passed
 
     def test_endpoint_root_with_square_q(self):
         # (t - 3)^2 (t^2 + 5t + 9) over q = 9: all roots have modulus 3
-        f = check_q_symmetry(P(81, -9, -12, -1, 1), 2, 9)
+        f = check_q_symmetry(P(81, -9, -12, -1, 1), 9)
         assert exact_modulus_check(f).passed
 
     def test_nonreal_transform_witness(self):
         # h = x^2 + 10 has no real roots: f roots form off-circle quadruples
-        f = check_q_symmetry(P(25, 0, 20, 0, 1), 2, 5)
+        f = check_q_symmetry(P(25, 0, 20, 0, 1), 5)
         res = exact_modulus_check(f)
         assert not res.passed
         assert res.witness["kind"] == "nonreal_roots"
@@ -276,15 +276,15 @@ class TestExactModulusCheck:
 
 class TestNumericRoots:
     def test_sqrt2(self):
-        rep = numeric_roots(P(-2, 0, 1), 128, q=2)
+        rep = numeric_roots(P(-2, 0, 1), 2)
         assert rep.max_modulus_deviation < 1e-30
 
     def test_constructed_quartic(self):
-        rep = numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
+        rep = numeric_roots(P(25, 5, 1, 1, 1), 5)
         assert rep.max_modulus_deviation < 1e-12
 
     def test_degree6_counterexample_root_split(self):
-        rep = numeric_roots(P(8, 4, 2, 5, 1, 1, 1), 128, q=2)
+        rep = numeric_roots(P(8, 4, 2, 5, 1, 1, 1), 2)
         on_circle = [d for d in rep.modulus_deviations if d < 1e-9]
         off_circle = [d for d in rep.modulus_deviations if d > 0.1]
         assert len(on_circle) == 4
@@ -293,13 +293,9 @@ class TestNumericRoots:
         real = [z for z in rep.roots if z.imag == 0]
         assert len(real) == 2
 
-    def test_precision_floor(self):
-        with pytest.raises(ValueError):
-            numeric_roots(P(-2, 0, 1), 32)
-
     def test_reports_the_working_precision(self, monkeypatch):
-        # max(128, 2 + 32) + 32 bits, doubled once by a failed first attempt
-        rep = numeric_roots(P(-2, 0, 1), 128)
+        # max(128, 2 * 2 + 64) + 32 bits, doubled once by a failed first attempt
+        rep = numeric_roots(P(-2, 0, 1), 2)
         assert (rep.precision_bits, rep.attempts) == (160, 1)
         durand_kerner, calls = analysis._durand_kerner, []
 
@@ -309,25 +305,41 @@ class TestNumericRoots:
             return [(x + (x >> 20), y) for x, y in roots] if len(calls) == 1 else roots
 
         monkeypatch.setattr(analysis, "_durand_kerner", fail_once)
-        rep = numeric_roots(P(-2, 0, 1), 128)
+        rep = numeric_roots(P(-2, 0, 1), 2)
         assert (rep.precision_bits, rep.attempts) == (320, 2)
         assert calls == [240, 480]  # the iteration runs at 3/2 of the working precision
+
+    @pytest.mark.parametrize(
+        "f, q, expected",
+        [
+            (P(-2, 0, 1), 2, (160, 1)),
+            (P(25, 5, 1, 1, 1), 5, (160, 1)),
+            (construct(ParamTuple(5, 2, 2, 79, 1, 0)).poly, 79, (224, 1)),  # 79^10: 64 bits
+            (P(2 ** 1100, 2 ** 551 + 1, 1), 2 ** 1100, (2298, 1)),
+        ],
+        ids=["t2-2", "quartic-q5", "tuple-5-2-2-79-1-0", "close-root-pair"],
+    )
+    def test_precision_follows_the_largest_coefficient(self, f, q, expected):
+        # no caller sets the precision: it is max(128, 2 * bitlength + 64) + 32
+        # working bits, from the largest coefficient of f
+        rep = numeric_roots(f, q)
+        assert (rep.precision_bits, rep.attempts) == expected
 
     def test_repeated_roots_certify_once_each(self):
         # the square of t^4+t^3+t^2+5t+25: the iteration runs on its radical
         square = P(625, 250, 75, 60, 61, 12, 3, 2, 1)
-        rep = numeric_roots(square, q=5)
+        rep = numeric_roots(square, 5)
         assert rep.attempts == 1 and rep.max_modulus_deviation < 1e-20
-        assert rep.roots == numeric_roots(P(25, 5, 1, 1, 1), q=5).roots
+        assert rep.roots == numeric_roots(P(25, 5, 1, 1, 1), 5).roots
 
     @pytest.mark.parametrize("f, q", [(P(8, 4, 2, 5, 1, 1, 1), 2), (P(25, 5, 1, 1, 1), 5), (P(4, 2, 1), 4)])
     def test_seeds_change_no_report(self, monkeypatch, f, q):
-        seeded = numeric_roots(f, 128, q=q)
+        seeded = numeric_roots(f, q)
         # mpmath's start points, which pad the seeds when _seed_roots finds too few
         monkeypatch.setattr(
             analysis, "_seed_roots", lambda f: [(0.4 + 0.9j) ** k for k in range(f.degree)]
         )
-        assert numeric_roots(f, 128, q=q) == seeded
+        assert numeric_roots(f, q) == seeded
 
     @pytest.mark.parametrize("point", [0.0, 2.0, 5 ** 0.5])
     def test_equal_real_seeds_raise(self, monkeypatch, point):
@@ -335,7 +347,7 @@ class TestNumericRoots:
         # nonreal roots: the oracle raises rather than report some of them
         monkeypatch.setattr(analysis, "_seed_roots", lambda f: [point] * f.degree)
         with pytest.raises(WeilPolyError):
-            numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
+            numeric_roots(P(25, 5, 1, 1, 1), 5)
 
     def test_merged_roots_raise(self, monkeypatch):
         # two iterates on one point pass their residual checks but leave a
@@ -348,7 +360,7 @@ class TestNumericRoots:
 
         monkeypatch.setattr(analysis, "_durand_kerner", merge)
         with pytest.raises(WeilPolyError):
-            numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
+            numeric_roots(P(25, 5, 1, 1, 1), 5)
 
     @pytest.mark.parametrize("exponent, certified", [(-40, False), (-100, True)])
     def test_residual_threshold(self, monkeypatch, exponent, certified):
@@ -360,10 +372,10 @@ class TestNumericRoots:
             lambda *args: [(x + (x >> -exponent), y + (y >> -exponent)) for x, y in durand_kerner(*args)],
         )
         if certified:
-            assert numeric_roots(P(25, 5, 1, 1, 1), 128, q=5).max_modulus_deviation < 1e-29
+            assert numeric_roots(P(25, 5, 1, 1, 1), 5).max_modulus_deviation < 1e-29
         else:
             with pytest.raises(WeilPolyError):
-                numeric_roots(P(25, 5, 1, 1, 1), 128, q=5)
+                numeric_roots(P(25, 5, 1, 1, 1), 5)
 
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(0, 5),
@@ -405,7 +417,7 @@ class TestNumericRoots:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_durand_kerner", spy)
-            numeric_roots(f, 128)
+            numeric_roots(f, q)
         ours, bits = runs[-1]  # the certified attempt
         with mpmath.workprec(bits):
             theirs = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=200, extraprec=bits)
@@ -430,7 +442,7 @@ class TestNumericRoots:
         assert len(tuples) == 344
         for t in tuples:
             f = construct(t).poly
-            assert numeric_roots(f, q=t.q) == plain_numeric_roots(f, q=t.q), t
+            assert numeric_roots(f, t.q) == plain_numeric_roots(f, t.q), t
 
     @given(st.sampled_from([1, 2, 3, 5]), symmetric_inputs)
     @example(5, (2, 5, [1, 1, 0, 0, 0, 0, 0, 0]))
@@ -449,18 +461,18 @@ class TestNumericRoots:
         # separate them (567 sweeps at 3,447 bits), past a cap of 200 sweeps
         # but within one sweep per bit of the working precision
         f = P(2 ** 1100, 2 ** 551 + 1, 1)
-        rep = numeric_roots(f)
+        rep = numeric_roots(f, 2 ** 1100)
         assert rep.attempts == 1 and len(rep.roots) == 2
-        assert rep == plain_numeric_roots(f)
+        assert rep == plain_numeric_roots(f, 2 ** 1100)
 
     def test_far_seeds_reach_the_plain_report(self, monkeypatch):
         # from mpmath's start points alone, far from the roots, the ramp's
         # sweeps do not converge, and the report still is the plain iteration's
         inputs = [(stretched(P(9765625, 3125, 1, 1, 1), 5), 5), (stretched(P(64, -8, 1), 3), 4),
                   (P(25, 5, 1, 1, 1), 5), (P(3 ** 16, *[0] * 31, 1), 3)]
-        expected = [plain_numeric_roots(f, q=q) for f, q in inputs]
+        expected = [plain_numeric_roots(f, q) for f, q in inputs]
         monkeypatch.setattr(analysis, "_seed_roots", lambda f: [])
-        assert [numeric_roots(f, q=q) for f, q in inputs] == expected
+        assert [numeric_roots(f, q) for f, q in inputs] == expected
 
     def test_seeds_lift_the_roots_of_R(self, monkeypatch):
         # f(t) = R(t^5) for a quartic R: each start point is a fifth root of an
@@ -474,7 +486,7 @@ class TestNumericRoots:
             return durand_kerner(coeffs, roots, bits, tol)
 
         monkeypatch.setattr(analysis, "_durand_kerner", spy)
-        rep = numeric_roots(f, q=5)
+        rep = numeric_roots(f, 5)
         [starts] = calls
         unmatched = list(rep.roots)
         for x, y in starts:
@@ -485,9 +497,11 @@ class TestNumericRoots:
         assert unmatched == []
 
     def test_one_sweep_per_ramp_precision_then_the_stopping_rule(self, monkeypatch):
-        # at 648 bits the iteration takes one sweep at each of 128, 256 and 512
-        # bits, then sweeps at 648 bits until one moves every root by less than
-        # the tolerance, and only then
+        # f(t) = F(t^5), F = t^4 + t^3 + t^2 + 5^35 t + 5^70, q = 5^7: its largest
+        # coefficient (163 bits) sets 422 working bits and an iteration at 633
+        # bits, which takes one sweep at each of 128, 256 and 512 bits, then
+        # sweeps at 633 bits until one moves every root by less than the
+        # tolerance, and only then
         sweep, durand_kerner, calls = analysis._sweep, analysis._durand_kerner, []
 
         def spy_sweep(a, e, roots, bits):
@@ -501,9 +515,9 @@ class TestNumericRoots:
 
         monkeypatch.setattr(analysis, "_sweep", spy_sweep)
         monkeypatch.setattr(analysis, "_durand_kerner", spy)
-        rep = numeric_roots(stretched(P(9765625, 3125, 1, 1, 1), 5), 400, q=5)
+        rep = numeric_roots(stretched(P(5 ** 70, 5 ** 35, 1, 1, 1), 5), 5 ** 7)
         [(bits, tol, sweeps)] = calls
-        assert (rep.precision_bits, bits, tol) == (432, 648, 1 << 432)
+        assert (rep.precision_bits, bits, tol) == (422, 633, 1 << 422)
         assert [k for k, _ in sweeps[:3]] == [128, 256, 512]
         full = sweeps[3:]
         assert full and all(k == bits for k, _ in full)
@@ -511,7 +525,7 @@ class TestNumericRoots:
 
     def test_high_degree_binomial(self):
         # t^64 + 3^32: every root has modulus sqrt(3)
-        rep = numeric_roots(P(3 ** 32, *[0] * 63, 1), q=3)
+        rep = numeric_roots(P(3 ** 32, *[0] * 63, 1), 3)
         assert len(rep.roots) == 64
         assert rep.max_modulus_deviation < 1e-20
 
@@ -521,7 +535,7 @@ class TestNumericRoots:
         g, q, upper = data
         f = symmetric_poly(g, q, upper[:g])
         exact = exact_modulus_check(f).passed
-        rep = numeric_roots(f.poly, 128, q=q)
+        rep = numeric_roots(f.poly, q)
         assert exact == (rep.max_modulus_deviation < 1e-9)
 
     @given(symmetric_inputs)

@@ -118,6 +118,12 @@ class TestVerify:
         assert code == 0
         assert "ordinary: False" in out
 
+    def test_odd_degree_exit_3(self, capsys):
+        # a negative first coefficient goes after "=", or argparse reads it as a flag
+        code, out, _ = run(capsys, "verify", "--poly=-8,0,0,1", "--q", "2")
+        assert code == 3
+        assert "method: shape" in out and "g: 0" in out
+
     def test_constructed_fixture_exit_0(self, capsys):
         code, out, _ = run(capsys, "verify", "--poly", "25,5,1,1,1", "--q", "5")
         assert code == 0
@@ -461,6 +467,14 @@ class TestReport:
         assert code == 0
         assert "certified_yes" in out
         assert "certified_no(d=5)" in out
+
+    def test_rows_sort_numerically_bare_rows_first(self, capsys, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        rows = [{"tuple": {"rho": rho, "b": 1}} for rho in (11, 7, 5)] + [{"tuple": None}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, out, _ = run(capsys, "report", "--in", str(path))
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[2:]] == ["-", "5", "7", "11"]
 
     def test_memory_stays_flat_as_the_input_grows(self, capsys, tmp_path):
         # each row is folded into its group as it is read, so ten copies of a

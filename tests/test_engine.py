@@ -30,7 +30,7 @@ from weilpoly.engine import (
     search,
     validate_tuple,
 )
-from weilpoly.errors import InvalidTuple, NotPrimePower
+from weilpoly.errors import InvalidTuple, NotPrimePower, ShapeMismatch
 from weilpoly.intpoly import (
     IntPoly,
     check_q_symmetry,
@@ -110,13 +110,13 @@ class TestConstruct:
 
 class TestCertificates:
     def test_ordinary(self):
-        assert certify_ordinary(check_q_symmetry(P(25, 5, 1, 1, 1), 2, 5), 5)
-        assert not certify_ordinary(check_q_symmetry(P(64, 16, 2, 2, 1), 2, 8), 2)
+        assert certify_ordinary(check_q_symmetry(P(25, 5, 1, 1, 1), 5), 5)
+        assert not certify_ordinary(check_q_symmetry(P(64, 16, 2, 2, 1), 8), 2)
 
     def test_simple_via_cyclotomic_reduction(self):
-        assert certify_simple(check_q_symmetry(P(25, 5, 1, 1, 1), 2, 5), 2, 5, 1)
-        assert certify_simple(check_q_symmetry(P(16, 4, 1, 1, 1), 2, 4), 3, 5, 1)
-        assert not certify_simple(check_q_symmetry(P(64, 16, 2, 2, 1), 2, 8), 2, 5, 1)
+        assert certify_simple(check_q_symmetry(P(25, 5, 1, 1, 1), 5), 2, 5, 1)
+        assert certify_simple(check_q_symmetry(P(16, 4, 1, 1, 1), 4), 3, 5, 1)
+        assert not certify_simple(check_q_symmetry(P(64, 16, 2, 2, 1), 8), 2, 5, 1)
 
     def test_simple_by_order_matches_ben_or(self):
         # Phi_n itself (q-symmetric with q = 1) passes the congruence for every r,
@@ -124,7 +124,7 @@ class TestCertificates:
         answers = set()
         for rho, b in ((5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)):
             phi = cyclotomic(rho ** b)
-            f = check_q_symmetry(phi, phi.degree // 2, 1)
+            f = check_q_symmetry(phi, 1)
             for r in primes_first(17):  # the primes below 60, rho among them
                 expected = is_irreducible_mod(phi.coeffs, r)
                 assert certify_simple(f, r, rho, b) == expected, (rho, b, r)
@@ -132,14 +132,14 @@ class TestCertificates:
         assert answers == {True, False}
 
     def test_absolutely_simple_g2(self):
-        assert absolutely_simple_g2(check_q_symmetry(P(25, 5, 1, 1, 1), 2, 5))
-        assert absolutely_simple_g2(check_q_symmetry(P(16, 4, 1, 1, 1), 2, 4))
+        assert absolutely_simple_g2(check_q_symmetry(P(25, 5, 1, 1, 1), 5))
+        assert absolutely_simple_g2(check_q_symmetry(P(16, 4, 1, 1, 1), 4))
         # a_1 = 0 always fails (0 is in the excluded set)
-        assert not absolutely_simple_g2(check_q_symmetry(P(25, 0, 2, 0, 1), 2, 5))
+        assert not absolutely_simple_g2(check_q_symmetry(P(25, 0, 2, 0, 1), 5))
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="g = 3, need 2"):
-            absolutely_simple_g2(check_q_symmetry(P(8, 4, 2, 5, 1, 1, 1), 3, 2))
+            absolutely_simple_g2(check_q_symmetry(P(8, 4, 2, 5, 1, 1, 1), 2))
 
     def test_power_test_witnesses(self):
         scan = engine._absolute_simplicity
@@ -267,14 +267,14 @@ class TestCertificates:
             return [t for t in tuples if all(c.passed for c in validate_tuple(t))]
 
         inputs = [(construct(t), t.r, t) for t in valid(7, 64) + valid(11, 128)[:3]]
-        inputs += [(check_q_symmetry(TENTH, 5, 2), 29, None), (construct(T3), 2, None)]
+        inputs += [(check_q_symmetry(TENTH, 2), 29, None), (construct(T3), 2, None)]
         # the (7, 1) and (5, 2) rows of the benchmark's raw pool, at their simple_r
         # (the (5, 1) rows, g = 2, are certified with no scan)
         family = {(tuple(coeffs), q) for _, coeffs, q, fam in verify_pool() if fam in ((7, 1), (5, 2))}
         for coeffs, q in sorted(family):
             rep = classify((IntPoly(coeffs), q))
             if rep.absolutely_simple != "not_evaluated":
-                inputs.append((check_q_symmetry(rep.poly, rep.g, q), rep.simple_r, None))
+                inputs.append((check_q_symmetry(rep.poly, q), rep.simple_r, None))
         verdicts = Counter()
         for f, r, tup in inputs:
             verdict, witness, _ = engine._absolute_simplicity(f, r, tup)
@@ -298,7 +298,7 @@ class TestCertificates:
                 for a2 in range(-2 * q - 8, 2 * q + 9):
                     if a2 % p == 0:
                         continue
-                    f = check_q_symmetry(P(q * q, q * a1, a2, a1, 1), 2, q)
+                    f = check_q_symmetry(P(q * q, q * a1, a2, a1, 1), q)
                     if not exact_modulus_check(f).passed:
                         continue
                     if not sympy.Poly(f.poly.coeffs[::-1], x).is_irreducible:
@@ -473,6 +473,29 @@ class TestClassify:
     def test_raw_non_symmetric(self):
         rep = classify((P(1, 2, 1), 2))
         assert not rep.is_q_polynomial and rep.method == "shape"
+
+    @pytest.mark.parametrize(
+        "f, q",
+        [
+            (P(7), 7),
+            (P(-2, 1), 2),
+            (P(-8, 0, 0, 1), 2),
+            (P(4, 2, 1, 1, 1, 1), 2),  # its low coefficients pair as a g = 2 f's would
+        ],
+        ids=["degree-0", "degree-1", "degree-3", "degree-5"],
+    )
+    def test_degree_not_an_even_2g_is_a_shape_row(self, f, q):
+        # degrees 0, 1, 3 and 5: check_q_symmetry decides the shape, with index -1
+        with pytest.raises(ShapeMismatch) as exc:
+            check_q_symmetry(f, q)
+        assert exc.value.index == -1
+        expected = {
+            "tuple": None, "g": 0, "q": q, "poly": f.to_string(), "is_q_polynomial": False, "method": "shape",
+            "ordinary": None, "simple": None, "simple_r": None, "absolutely_simple": "not_evaluated",
+            "witness_d": None, "power_test_bound": None, "ll_passed": None, "max_modulus_deviation": None,
+            "symmetry_fail_index": -1,
+        }
+        assert json.dumps(classify((f, q)).to_json_dict(include_timings=False)) == json.dumps(expected)
 
     def test_purity(self):
         a = json.dumps(classify(T1).to_json_dict(include_timings=False))

@@ -101,30 +101,31 @@ class TestCyclotomic:
 
 class TestQSymmetry:
     def test_accepts_fixture(self):
-        qp = check_q_symmetry(P(25, 5, 1, 1, 1), 2, 5)
+        qp = check_q_symmetry(P(25, 5, 1, 1, 1), 5)
         assert (qp.g, qp.q) == (2, 5)
         assert qp.a(1) == 1 and qp.middle == 1
 
     def test_accepts_degree6_shape(self):
-        qp = check_q_symmetry(P(8, 4, 2, 5, 1, 1, 1), 3, 2)
+        qp = check_q_symmetry(P(8, 4, 2, 5, 1, 1, 1), 2)
         assert qp.middle == 5
 
     def test_rejects_bad_constant(self):
         with pytest.raises(ShapeMismatch) as exc:
-            check_q_symmetry(P(5, 3, 1), 1, 2)
+            check_q_symmetry(P(5, 3, 1), 2)
         assert exc.value.index == 0
 
     def test_rejects_nonmonic_and_bad_degree(self):
         with pytest.raises(ShapeMismatch):
-            check_q_symmetry(P(25, 5, 1, 1, 2), 2, 5)
-        with pytest.raises(ShapeMismatch):
-            check_q_symmetry(P(25, 5, 1, 1, 1), 3, 5)
+            check_q_symmetry(P(25, 5, 1, 1, 2), 5)
+        with pytest.raises(ShapeMismatch) as exc:
+            check_q_symmetry(P(25, 5, 1, 1), 5)
+        assert exc.value.index == -1
 
     def test_functional_identity(self):
         # the pairing is equivalent to t^(2g) * f(q/t) = q^g * f(t)
         f = P(16, 4, 1, 1, 1)
         g, q = 2, 4
-        check_q_symmetry(f, g, q)
+        check_q_symmetry(f, q)
         lhs = IntPoly([f.coeff(2 * g - j) * q ** (2 * g - j) for j in range(2 * g + 1)])
         assert lhs == f.scale(q ** g)
 

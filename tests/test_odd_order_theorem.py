@@ -93,7 +93,7 @@ def _check(seed: int, count: int) -> Counter:
         if not (rep.is_q_polynomial and rep.ordinary and rep.simple):
             continue
         g = rep.g
-        n = least_witness(check_q_symmetry(f, g, q))
+        n = least_witness(check_q_symmetry(f, q))
         rs = [r for r in primes_first(DEFAULT_RAW_CERT_PRIMES) if _irreducible_mod(coeffs, r)]
         assert rep.simple_r in rs
         for r in rs:

@@ -94,7 +94,7 @@ def weil_shaped(draw):
     for j in range(1, g + 1):
         coeffs[2 * g - j] = upper[j - 1]
         coeffs[j] = q ** (g - j) * upper[j - 1]
-    return check_q_symmetry(IntPoly(coeffs), g, q)
+    return check_q_symmetry(IntPoly(coeffs), q)
 
 
 def textbook_sum(f):
@@ -110,21 +110,21 @@ def textbook_sum(f):
 class TestUnitCircleCheck:
     def test_weil_quartic_passes(self):
         # F(t) = f(sqrt5 t) for f = t^4+t^3+t^2+5t+25; S = 45 - 10*sqrt(5) > 0
-        f = check_q_symmetry(IntPoly((25, 5, 1, 1, 1)), 2, 5)
+        f = check_q_symmetry(IntPoly((25, 5, 1, 1, 1)), 5)
         assert sympy.simplify(textbook_sum(f) - (45 - 10 * sympy.sqrt(5))) == 0
         assert ll_unit_circle_check(f)
 
     def test_boundary_case(self):
         # (t + 1)^2 with q = 1 is P = [1, 2, 1] with delta = 1: S = 2 - 2 = 0
-        assert ll_unit_circle_check(check_q_symmetry(IntPoly((1, 2, 1)), 1, 1))
+        assert ll_unit_circle_check(check_q_symmetry(IntPoly((1, 2, 1)), 1))
 
     def test_off_circle_is_inconclusive(self):
         # t^2 + 3t + 1 with q = 1: S = 2 - 3 < 0, and its real roots are off the circle
-        assert not ll_unit_circle_check(check_q_symmetry(IntPoly((1, 3, 1)), 1, 1))
+        assert not ll_unit_circle_check(check_q_symmetry(IntPoly((1, 3, 1)), 1))
 
     @given(weil_shaped())
-    @example(check_q_symmetry(IntPoly((4, 4, 1)), 1, 4))  # (t + 2)^2: S = 0
-    @example(check_q_symmetry(IntPoly((4, 5, 1)), 1, 4))  # S = 8 - 5*2 < 0
+    @example(check_q_symmetry(IntPoly((4, 4, 1)), 4))  # (t + 2)^2: S = 0
+    @example(check_q_symmetry(IntPoly((4, 5, 1)), 4))  # S = 8 - 5*2 < 0
     @settings(max_examples=150, deadline=None)
     def test_matches_textbook_criterion(self, f):
         assert ll_unit_circle_check(f) == bool(textbook_sum(f) >= 0)
